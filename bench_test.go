@@ -634,12 +634,11 @@ func BenchmarkClassifyMemo(b *testing.B) {
 	}
 }
 
-// Observability overhead gate: the warm memo-hit path (the hottest
-// request shape the server serves) with instrumentation on vs off. The
-// CI bench gate asserts identical allocs/op — the obs layer must stay
-// allocation-free on the hot path — and the ns/op delta is the real
-// instrumentation cost (a few time.Now calls plus atomic updates,
-// ~2% locally).
+// Observability overhead: the warm memo-hit path (the hottest request
+// shape the server serves) with instrumentation on vs off. The ns/op
+// delta is the real instrumentation cost (a few time.Now calls plus
+// atomic updates, ~2% locally); TestClassifyInstrumentedAllocs gates
+// the allocations.
 func BenchmarkClassifyInstrumented(b *testing.B) {
 	req := service.Request{Problem: problems.Coloring(3, 2), Mode: "cycles"}
 	for _, variant := range []struct {
@@ -667,6 +666,38 @@ func BenchmarkClassifyInstrumented(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestClassifyInstrumentedAllocs is the allocation gate for
+// BenchmarkClassifyInstrumented's request shape: the obs layer must stay
+// allocation-free on the hot path, so a warm memo hit allocates exactly
+// as much instrumented as bare, and at most 31 times.
+func TestClassifyInstrumentedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race, so pooled paths have no stable allocation count")
+	}
+	req := service.Request{Problem: problems.Coloring(3, 2), Mode: "cycles"}
+	allocs := map[bool]float64{}
+	for _, disableObs := range []bool{true, false} {
+		e := service.New(service.Config{Workers: 1, DisableObs: disableObs})
+		if _, err := e.Classify(req); err != nil {
+			t.Fatal(err)
+		}
+		allocs[disableObs] = testing.AllocsPerRun(200, func() {
+			resp, err := e.Classify(req)
+			if err != nil || !resp.CacheHit {
+				t.Fatalf("warm request: resp %+v, err %v", resp, err)
+			}
+		})
+		e.Close()
+	}
+	bare, instrumented := allocs[true], allocs[false]
+	if instrumented != bare {
+		t.Errorf("instrumentation adds allocations: bare %v, instrumented %v allocs/op", bare, instrumented)
+	}
+	if bare > 31 {
+		t.Errorf("warm memo hit: %v allocs/op, want <= 31", bare)
 	}
 }
 

@@ -23,8 +23,9 @@
 // — because the snapshot checkpoints carry their partial results —
 // resume warm instead of recomputing from scratch.
 //
-// With -sealed the server loads a precomputed landscape table built by
-// `lcltool seal` and consults it before the memo cache: requests inside
+// With -sealed the server memory-maps a precomputed landscape table
+// built by `lcltool seal` (reading it into the heap where mapping is
+// unavailable) and consults it before the memo cache: requests inside
 // the sealed spaces are answered with one hash probe, zero allocations,
 // and no lock contention. A missing, corrupt, or version-mismatched
 // table is logged and ignored — the server serves classifier-only, with
@@ -85,37 +86,6 @@ import (
 	"repro/internal/store"
 )
 
-// sealedMmapThreshold is the artifact size at which -sealed-mmap auto
-// switches from a heap load to a memory map. Small tables gain nothing
-// from mapping; at and beyond ~1 MiB the avoided heap copy and
-// page-cache sharing win.
-const sealedMmapThreshold = 1 << 20
-
-// openSealedTable loads the sealed artifact honoring the -sealed-mmap
-// mode: "always" and "never" force the path, "auto" maps files of
-// sealedMmapThreshold bytes or more. The mmap path falls back to a heap
-// load by itself on platforms without mmap.
-func openSealedTable(path, mode string, logger *slog.Logger) (*store.SealedTable, error) {
-	switch mode {
-	case "always":
-		return store.OpenSealedMapped(path)
-	case "never":
-		return store.LoadSealed(path)
-	case "auto":
-		st, err := os.Stat(path)
-		if err != nil {
-			return nil, err
-		}
-		if st.Size() >= sealedMmapThreshold {
-			return store.OpenSealedMapped(path)
-		}
-		return store.LoadSealed(path)
-	default:
-		logger.Warn("unknown -sealed-mmap mode, using auto", "mode", mode)
-		return openSealedTable(path, "auto", logger)
-	}
-}
-
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", service.DefaultWorkers, "batch worker pool size")
@@ -125,7 +95,6 @@ func main() {
 	prewarm := flag.Int("prewarm", 0, "run the k-census on startup to warm the cache (0 = off)")
 	snapshotPath := flag.String("snapshot", "", "snapshot file: load on startup if present, save on shutdown, at checkpoints, and via POST /v1/admin/snapshot (empty = off)")
 	sealedPath := flag.String("sealed", "", "sealed landscape table from `lcltool seal`: precomputed verdicts served before the memo cache (empty = off)")
-	sealedMmap := flag.String("sealed-mmap", "auto", "sealed table load mode: auto (mmap at or above 1 MiB, read below), always, or never")
 	snapshotInterval := flag.Duration("snapshot-interval", 0, "autosave the snapshot at this interval, e.g. 5m (0 = off; requires -snapshot)")
 	jobsLedger := flag.String("jobs-ledger", "", "job ledger file: persists the job table and re-enqueues unfinished jobs at boot (empty = off)")
 	jobWorkers := flag.Int("job-workers", 1, "concurrently running background jobs")
@@ -188,7 +157,7 @@ func main() {
 
 	var sealedTbl *store.SealedTable
 	if *sealedPath != "" {
-		switch t, err := openSealedTable(*sealedPath, *sealedMmap, logger); {
+		switch t, err := store.OpenSealedMapped(*sealedPath); {
 		case err == nil:
 			mode := "read"
 			if t.Mapped() {

@@ -153,8 +153,8 @@ func TestCensusClassifiesEachOrbitOnce(t *testing.T) {
 }
 
 // BenchmarkCanonicalKey measures the orbit-table mask canonicalization
-// over the full k=3 space; the acceptance invariant is 0 allocs/op
-// (gated in CI with -benchtime=1x).
+// over the full k=3 space; TestCanonicalKeyZeroAlloc gates its 0
+// allocs/op invariant.
 func BenchmarkCanonicalKey(b *testing.B) {
 	CanonicalKey(3, 0, 0) // build the tables outside the timed loop
 	total := uint(1) << uint(PairCount(3))
@@ -172,6 +172,23 @@ func BenchmarkCanonicalKey(b *testing.B) {
 }
 
 var benchSinkN, benchSinkE uint
+
+// TestCanonicalKeyZeroAlloc: canonicalizing every mask pair of the k=3
+// space allocates nothing once the orbit tables are built.
+func TestCanonicalKeyZeroAlloc(t *testing.T) {
+	CanonicalKey(3, 0, 0) // build the tables outside the measured runs
+	total := uint(1) << uint(PairCount(3))
+	allocs := testing.AllocsPerRun(3, func() {
+		for n2 := uint(0); n2 < total; n2++ {
+			for e := uint(0); e < total; e++ {
+				benchSinkN, benchSinkE = CanonicalKey(3, n2, e)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("CanonicalKey over the k=3 space: %v allocs per sweep, want 0", allocs)
+	}
+}
 
 // BenchmarkCensusCold runs the deduplicated k=3 census against a fresh
 // cache every iteration — the cold path the BENCH_small latency gate

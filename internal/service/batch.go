@@ -1,16 +1,16 @@
-// The vectorized batch serving pipeline. A batch walks the same tiers
-// as a single request (exact fingerprint → sealed table → memo cache →
-// singleflight → compute) but amortizes every per-item cost across the
-// batch: all items are canonicalized into one pooled scratch arena,
+// The classification pipeline. Every request the engine serves walks
+// it: a batch as a whole, a single Classify as a batch of one. The
+// tiers are exact fingerprint → sealed table → memo cache → singleflight
+// → compute, and every per-item cost is amortized across the batch:
+// all items are canonicalized into one pooled scratch arena,
 // deduplicated by memo key so each orbit is resolved once (the census
 // insight from the orbit-representative enumeration, applied to live
 // traffic), looked up through store.SealedTable.GetBatch and
 // memo.Cache.GetBatch in fingerprint-sorted order, coalesced through
-// the engine's singleflight map so concurrent batches share computes,
-// and fanned back out positionally. Counter and response-flag semantics
-// match the per-item path item for item (see the fan-out loop), so
-// /statsz and /metricsz stay comparable whichever path served the
-// traffic.
+// the engine's singleflight map so concurrent callers share computes,
+// and fanned back out positionally. Counters and response flags are
+// per item, so /statsz and /metricsz count a batch of n exactly as n
+// single requests.
 package service
 
 import (
@@ -36,13 +36,17 @@ const DefaultMaxBatch = 4096
 const (
 	// itemErrPre: rejected before fingerprinting (unknown mode or
 	// Normalize failure) — counted as an error only, never as a served
-	// request, exactly like the per-item path.
+	// request.
 	itemErrPre uint8 = iota + 1
 	// itemErrFp: fingerprinting failed — counted as a served request
 	// that errored.
 	itemErrFp
 	// itemInexact: inexact fingerprint; computed individually and never
-	// cached (one-directional invariance, see ClassifyCtx).
+	// cached. Such a fingerprint (canonical permutation search over
+	// budget) is only invariant in one direction: isomorphic problems
+	// agree, but refinement-indistinguishable non-isomorphic problems
+	// may collide, so caching under it could serve one problem the
+	// other's answer.
 	itemInexact
 	// itemExact: exact fingerprint; participates in dedup and the
 	// sealed/memo/singleflight tiers.
@@ -56,7 +60,7 @@ const (
 	tierSealed
 	// tierMemo: served by the memo cache.
 	tierMemo
-	// tierOwned: this batch registered the in-flight call and computed.
+	// tierOwned: this pass registered the in-flight call and computed.
 	tierOwned
 	// tierJoined: coalesced onto another caller's in-flight computation.
 	tierJoined
@@ -78,9 +82,9 @@ type batchIdent struct {
 	dims      int
 }
 
-// batchScratch is the pooled per-batch arena: every per-item and
-// per-unique-key slice the pipeline needs, reused across batches so a
-// steady-state batch allocates nothing beyond what its misses compute.
+// batchScratch is the pooled per-pass arena: every per-item and
+// per-unique-key slice the pipeline needs, reused across passes so a
+// steady-state pass allocates nothing beyond what its misses compute.
 type batchScratch struct {
 	// Per-item (parallel to the request slice).
 	reqs  []Request
@@ -111,10 +115,11 @@ type batchScratch struct {
 	// Positional results handed to the caller.
 	resps []Response
 	items []BatchItem
+	stats BatchStats
 
 	// wg synchronizes the compute stage. It lives in the arena because
 	// the compute closures capture it: a local would escape and cost an
-	// allocation even on batches that compute nothing.
+	// allocation even on passes that compute nothing.
 	wg sync.WaitGroup
 }
 
@@ -122,9 +127,24 @@ var batchScratchPool = sync.Pool{
 	New: func() any { return &batchScratch{ident: map[batchIdent]int32{}} },
 }
 
-// reset sizes every per-item slice to n, clears retained references
-// from the previous batch, and empties the per-unique slices.
+// reset drops every reference the previous pass left in the arena and
+// sizes the per-item slices to n. It clears exactly the slots the
+// previous pass used — the current lengths — before reslicing, so a
+// small pass after a large one neither pays for the large one's
+// capacity nor keeps its requests alive beyond n.
 func (sc *batchScratch) reset(n int) {
+	clear(sc.reqs)
+	clear(sc.ds)
+	clear(sc.errs)
+	clear(sc.vals1)
+	clear(sc.ident)
+	clear(sc.uniqVals)
+	clear(sc.uniqErr)
+	clear(sc.uniqVerd)
+	clear(sc.calls)
+	clear(sc.missVals)
+	clear(sc.resps)
+	clear(sc.items)
 	if cap(sc.reqs) < n {
 		sc.reqs = make([]Request, n)
 		sc.ds = make([]decide.Decider, n)
@@ -135,6 +155,8 @@ func (sc *batchScratch) reset(n int) {
 		sc.group = make([]int32, n)
 		sc.dupOf = make([]int32, n)
 		sc.vals1 = make([]any, n)
+		sc.resps = make([]Response, n)
+		sc.items = make([]BatchItem, n)
 	}
 	sc.reqs = sc.reqs[:n]
 	sc.ds = sc.ds[:n]
@@ -145,19 +167,8 @@ func (sc *batchScratch) reset(n int) {
 	sc.group = sc.group[:n]
 	sc.dupOf = sc.dupOf[:n]
 	sc.vals1 = sc.vals1[:n]
-	clear(sc.reqs)
-	clear(sc.ds)
-	clear(sc.state)
-	clear(sc.errs)
-	clear(sc.vals1)
-	clear(sc.ident)
-	// Drop references retained by the previous batch's unique set, then
-	// reuse the backing arrays.
-	clear(sc.uniqVals[:cap(sc.uniqVals)])
-	clear(sc.uniqErr[:cap(sc.uniqErr)])
-	clear(sc.uniqVerd[:cap(sc.uniqVerd)])
-	clear(sc.calls[:cap(sc.calls)])
-	clear(sc.missVals[:cap(sc.missVals)])
+	sc.resps = sc.resps[:n]
+	sc.items = sc.items[:n]
 	sc.order = sc.order[:0]
 	sc.uniqKeys = sc.uniqKeys[:0]
 	sc.uniqRep = sc.uniqRep[:0]
@@ -170,14 +181,7 @@ func (sc *batchScratch) reset(n int) {
 	sc.missKeys = sc.missKeys[:0]
 	sc.missVals = sc.missVals[:0]
 	sc.missPos = sc.missPos[:0]
-	if cap(sc.resps) < n {
-		sc.resps = make([]Response, n)
-		sc.items = make([]BatchItem, n)
-	}
-	sc.resps = sc.resps[:n]
-	sc.items = sc.items[:n]
-	clear(sc.resps)
-	clear(sc.items)
+	sc.stats = BatchStats{Items: n}
 }
 
 // BatchStats summarizes one Batch.Classify run.
@@ -233,132 +237,82 @@ func (b *Batch) Release() {
 // Stats returns the summary of the most recent Classify call.
 func (b *Batch) Stats() BatchStats { return b.stats }
 
-// Classify serves one batch through the vectorized pipeline. Results
-// are positional and valid until the next Classify or Release. See
+// Classify serves one batch through the pipeline. Results are
+// positional and valid until the next Classify or Release. See
 // Engine.ClassifyBatchCtx for the pipeline contract.
 func (b *Batch) Classify(ctx context.Context, reqs []Request) []BatchItem {
-	e, sc := b.e, b.sc
+	items := b.e.classify(ctx, b.sc, reqs)
+	b.stats = b.sc.stats
+	b.e.observeBatch(b.sc)
+	return items
+}
+
+// classify runs reqs through the pipeline on arena sc and returns the
+// positional results (valid until sc's next pass). It records per-item
+// counters and per-stage trace spans — a span only for a stage that did
+// work — but no batch-level observations, so a single request served as
+// a batch of one counts exactly like a single request.
+func (e *Engine) classify(ctx context.Context, sc *batchScratch, reqs []Request) []BatchItem {
 	n := len(reqs)
-	if e.obs != nil {
-		e.obs.batch.Observe(float64(n))
-	}
-	b.stats = BatchStats{Items: n}
 	sc.reset(n)
 	if n == 0 {
 		return sc.items
 	}
+	st := &sc.stats
 	tr := obs.TraceFrom(ctx)
-	var batchStart time.Time
+	var start, spanStart time.Time
 	if e.obs != nil {
-		batchStart = time.Now()
+		start = time.Now()
 	}
 
 	// Stage 1: resolve, normalize, fingerprint. The identity prefilter
-	// spots literal duplicates (same problem pointers, same normalized
-	// parameters) and replays the first occurrence's fingerprint, so a
-	// duplicate-heavy batch canonicalizes each distinct request once.
-	var spanStart time.Time
+	// runs first, on the raw request: a literal duplicate replays its
+	// first occurrence's entire stage-1 outcome and skips the registry
+	// lookup and the canonicalization, the dominant per-item costs of a
+	// duplicate-heavy batch. Counters still count every item.
 	if tr != nil {
 		spanStart = time.Now()
 	}
-	exactItems := 0
+	exactItems, inexact := 0, 0
 	for i := range reqs {
 		sc.reqs[i] = reqs[i]
 		sc.group[i] = -1
 		sc.dupOf[i] = -1
-		// Identity prefilter first, on the raw request: a literal
-		// duplicate replays its first occurrence's entire stage-1 outcome
-		// (resolution, normalization, fingerprinting — all pure functions
-		// of the request) and skips the registry lookup and the
-		// canonicalization, the dominant per-item costs of a
-		// duplicate-heavy batch. Counters replay per item, matching the
-		// per-item path.
-		id := batchIdent{
-			mode:      reqs[i].Mode,
-			problem:   reqs[i].Problem,
-			rooted:    reqs[i].Rooted,
-			maxLevels: reqs[i].MaxLevels,
-			maxRadius: reqs[i].MaxRadius,
-			dims:      reqs[i].Dims,
-		}
-		if j, ok := sc.ident[id]; ok {
-			sc.ds[i] = sc.ds[j]
-			sc.state[i] = sc.state[j]
-			sc.fps[i] = sc.fps[j]
-			sc.keys[i] = sc.keys[j]
-			switch sc.state[j] {
-			case itemErrPre:
-				// Unknown mode or Normalize rejection: error only, never a
-				// served request (ds is nil exactly when the mode was
-				// unknown).
-				if sc.ds[j] == nil {
-					e.unknownMode.Add(1)
-				}
-				e.errors.Add(1)
-				sc.errs[i] = sc.errs[j]
-			case itemErrFp:
-				e.requests.Add(1)
-				if counter, ok := e.byDecider[sc.ds[j].Name()]; ok {
-					counter.Add(1)
-				}
-				e.errors.Add(1)
-				sc.errs[i] = sc.errs[j]
-			case itemInexact:
-				e.requests.Add(1)
-				if counter, ok := e.byDecider[sc.ds[j].Name()]; ok {
-					counter.Add(1)
-				}
-				// Inexact items compute individually (never cached); reuse
-				// the representative's normalized request.
-				sc.reqs[i] = sc.reqs[j]
-			case itemExact:
-				e.requests.Add(1)
-				if counter, ok := e.byDecider[sc.ds[j].Name()]; ok {
-					counter.Add(1)
-				}
-				sc.dupOf[i] = j
-				exactItems++
+		// A batch of one has no duplicates; skipping the map also keeps a
+		// single request from clearing a map a large batch has grown.
+		if n > 1 {
+			id := batchIdent{
+				mode:      reqs[i].Mode,
+				problem:   reqs[i].Problem,
+				rooted:    reqs[i].Rooted,
+				maxLevels: reqs[i].MaxLevels,
+				maxRadius: reqs[i].MaxRadius,
+				dims:      reqs[i].Dims,
 			}
-			continue
+			if j, ok := sc.ident[id]; ok {
+				sc.dupOf[i] = j
+				sc.reqs[i] = sc.reqs[j]
+				sc.ds[i] = sc.ds[j]
+				sc.state[i] = sc.state[j]
+				sc.fps[i] = sc.fps[j]
+				sc.keys[i] = sc.keys[j]
+				sc.errs[i] = sc.errs[j]
+			} else {
+				sc.ident[id] = int32(i)
+			}
 		}
-		sc.ident[id] = int32(i)
-		d, ok := e.registry.Get(sc.reqs[i].Mode)
-		if !ok {
-			e.unknownMode.Add(1)
-			e.errors.Add(1)
-			sc.errs[i] = fmt.Errorf("service: unknown mode %q (registered: %s)",
-				sc.reqs[i].Mode, strings.Join(e.registry.Names(), ", "))
-			sc.state[i] = itemErrPre
-			continue
+		if sc.dupOf[i] < 0 {
+			e.resolve(sc, i)
 		}
-		sc.ds[i] = d
-		if err := d.Normalize(&sc.reqs[i]); err != nil {
-			e.errors.Add(1)
-			sc.errs[i] = err
-			sc.state[i] = itemErrPre
-			continue
+		e.countItem(sc.ds[i], sc.state[i])
+		switch sc.state[i] {
+		case itemExact:
+			exactItems++
+		case itemInexact:
+			inexact++
 		}
-		e.requests.Add(1)
-		if counter, ok := e.byDecider[d.Name()]; ok {
-			counter.Add(1)
-		}
-		fp, exact, err := d.Fingerprint(&sc.reqs[i])
-		if err != nil {
-			e.errors.Add(1)
-			sc.errs[i] = err
-			sc.state[i] = itemErrFp
-			continue
-		}
-		sc.fps[i] = fp
-		if !exact {
-			sc.state[i] = itemInexact
-			continue
-		}
-		sc.state[i] = itemExact
-		sc.keys[i] = memo.Key(d.MemoDomain(&sc.reqs[i]), fp)
-		exactItems++
 	}
-	tr.Record("batch-fingerprint", spanStart)
+	tr.Record("fingerprint", spanStart)
 
 	// Stage 2: dedup by memo key, fingerprint-sorted. Sorting gives the
 	// unique set a deterministic probe order for the batched lookups
@@ -400,23 +354,22 @@ func (b *Batch) Classify(ctx context.Context, reqs []Request) []BatchItem {
 		}
 	}
 	uniq := len(sc.uniqKeys)
-	b.stats.Unique = uniq
-	b.stats.Deduped = exactItems - uniq
-	tr.Record("batch-dedup", spanStart)
-	if e.obs != nil && exactItems > 0 {
-		e.obs.batchDedup.Observe(float64(exactItems-uniq) / float64(exactItems))
+	st.Unique = uniq
+	st.Deduped = exactItems - uniq
+	st.Inexact = inexact
+	if exactItems > 1 {
+		tr.Record("dedup", spanStart)
 	}
 
 	// Stage 3: sealed tier, one lock-free multi-probe sweep over the
 	// sorted unique keys. Entry indices feed the engine's memoized
 	// verdict wrappers, so a sealed-hit item allocates nothing.
-	sealedUnique := 0
 	if e.sealed != nil && uniq > 0 {
 		if tr != nil {
 			spanStart = time.Now()
 		}
-		sealedUnique = e.sealed.GetBatch(sc.uniqKeys, sc.uniqVals, sc.uniqIdx)
-		tr.Record("batch-sealed-get", spanStart)
+		e.sealed.GetBatch(sc.uniqKeys, sc.uniqVals, sc.uniqIdx)
+		tr.Record("sealed-get", spanStart)
 		for u := 0; u < uniq; u++ {
 			if sc.uniqIdx[u] >= 0 {
 				sc.uniqTier[u] = tierSealed
@@ -425,12 +378,14 @@ func (b *Batch) Classify(ctx context.Context, reqs []Request) []BatchItem {
 	}
 
 	// Stage 4: memo tier + singleflight for the residual misses, under
-	// one e.mu acquisition for the whole batch. The memo lookup happens
-	// under the lock — the same discipline as the per-item path — so an
-	// owned key's computation is registered before anyone else can race
-	// it, each unique key counts at most one memo miss, and joiners
-	// either see the in-flight call or hit the cache it filled.
-	memoUnique, ownedUnique, joinedUnique := 0, 0, 0
+	// one e.mu acquisition for the whole pass. The memo lookup happens
+	// under the lock: the computing goroutine fills the cache before
+	// unregistering its call, so an owned key's computation is
+	// registered before anyone else can race it, each unique key counts
+	// at most one memo miss, and joiners either see the in-flight call
+	// or hit the cache it filled — an identical request is never
+	// computed twice.
+	owned, joined := 0, 0
 	for u := 0; u < uniq; u++ {
 		if sc.uniqTier[u] == tierNone {
 			sc.missKeys = append(sc.missKeys, sc.uniqKeys[u])
@@ -448,112 +403,89 @@ func (b *Batch) Classify(ctx context.Context, reqs []Request) []BatchItem {
 			if sc.missVals[j] != nil {
 				sc.uniqVals[u] = sc.missVals[j]
 				sc.uniqTier[u] = tierMemo
-				memoUnique++
 				continue
 			}
 			key := sc.uniqKeys[u]
 			if c, ok := e.inflight[key]; ok {
 				sc.calls[u] = c
 				sc.uniqTier[u] = tierJoined
-				joinedUnique++
+				joined++
 				continue
 			}
 			c := &call{done: make(chan struct{})}
 			e.inflight[key] = c
 			sc.calls[u] = c
 			sc.uniqTier[u] = tierOwned
-			ownedUnique++
+			owned++
 		}
 		e.mu.Unlock()
-		tr.Record("batch-memo-get", spanStart)
-	}
-	if e.obs != nil && uniq > 0 {
-		if e.sealed != nil {
-			e.obs.batchSealedRate.Observe(float64(sealedUnique) / float64(uniq))
-		}
-		e.obs.batchMemoRate.Observe(float64(memoUnique) / float64(uniq))
+		tr.Record("memo-get", spanStart)
 	}
 
-	// Stage 5: compute. Owned keys and inexact items fan out across the
-	// worker pool; joined keys wait on their foreign computations.
-	// Owned computes run under the background context (coalescing
-	// callers must not be failed by this caller hanging up) and fill the
-	// cache before unregistering — the singleflight invariant.
-	if tr != nil {
-		spanStart = time.Now()
-	}
-	wg := &sc.wg
-	if ownedUnique > 0 {
+	// Stage 5: compute owned keys and inexact items. A pass with exactly
+	// one compute runs it on the caller's goroutine (so a single request
+	// never queues behind the worker pool, and Classify keeps working
+	// after Close); more fan out across the pool.
+	if computes := owned + inexact; computes == 1 {
+		for u := 0; u < uniq; u++ {
+			if sc.uniqTier[u] == tierOwned {
+				e.computeOwned(sc, u, tr)
+			}
+		}
+		for i := 0; i < n; i++ {
+			if sc.state[i] == itemInexact {
+				e.computeInexact(ctx, sc, i, tr)
+			}
+		}
+	} else if computes > 1 {
+		if tr != nil {
+			spanStart = time.Now()
+		}
+		wg := &sc.wg
 		for u := 0; u < uniq; u++ {
 			if sc.uniqTier[u] != tierOwned {
 				continue
 			}
 			wg.Add(1)
-			u := u
 			e.jobs <- func() {
 				defer wg.Done()
-				rep := sc.uniqRep[u]
-				c := sc.calls[u]
-				c.payload, c.err = sc.ds[rep].Compute(context.Background(), &sc.reqs[rep])
-				if c.err == nil {
-					e.cache.Put(sc.uniqKeys[u], c.payload)
-				} else {
-					e.errors.Add(1)
-				}
-				e.mu.Lock()
-				delete(e.inflight, sc.uniqKeys[u])
-				e.mu.Unlock()
-				close(c.done)
+				e.computeOwned(sc, u, nil)
 			}
 		}
-	}
-	for i := 0; i < n; i++ {
-		if sc.state[i] != itemInexact {
-			continue
-		}
-		wg.Add(1)
-		i := i
-		e.jobs <- func() {
-			defer wg.Done()
-			// Inexact fingerprints are never cached or coalesced; each
-			// item computes under the caller's context, like the per-item
-			// path.
-			payload, err := sc.ds[i].Compute(ctx, &sc.reqs[i])
-			if err != nil {
-				e.errors.Add(1)
-				sc.errs[i] = err
-				return
+		for i := 0; i < n; i++ {
+			if sc.state[i] != itemInexact {
+				continue
 			}
-			sc.vals1[i] = payload
+			wg.Add(1)
+			e.jobs <- func() {
+				defer wg.Done()
+				e.computeInexact(ctx, sc, i, nil)
+			}
 		}
+		wg.Wait()
+		tr.Record("compute", spanStart)
 	}
-	wg.Wait()
+	// Collect owned results and wait out joined keys' foreign computes.
+	if tr != nil && joined > 0 {
+		spanStart = time.Now()
+	}
 	for u := 0; u < uniq; u++ {
-		switch sc.uniqTier[u] {
-		case tierOwned:
-			c := sc.calls[u]
-			if c.err != nil {
-				sc.uniqErr[u] = c.err
-			} else {
-				sc.uniqVals[u] = c.payload
-			}
-		case tierJoined:
+		if tier := sc.uniqTier[u]; tier == tierOwned || tier == tierJoined {
 			c := sc.calls[u]
 			<-c.done
-			if c.err != nil {
-				sc.uniqErr[u] = c.err
-			} else {
-				sc.uniqVals[u] = c.payload
-			}
+			sc.uniqVals[u], sc.uniqErr[u] = c.payload, c.err
 		}
 	}
-	tr.Record("batch-compute", spanStart)
+	if joined > 0 {
+		tr.Record("coalesce", spanStart)
+	}
 
 	// Stage 6: wrap each unique payload once. Verdicts (and their
 	// details) are immutable wire views, so duplicates share them;
 	// sealed entries memoize theirs on the engine for the table's
-	// lifetime. Wrap failures surface per item below with the per-item
-	// path's error wrapping and counting.
+	// lifetime. A payload the decider does not recognize — a cache entry
+	// written by other code under a colliding key, say — is an explicit
+	// per-item error, never a silently empty response.
 	if tr != nil {
 		spanStart = time.Now()
 	}
@@ -574,125 +506,204 @@ func (b *Batch) Classify(ctx context.Context, reqs []Request) []BatchItem {
 			// Distinguish from compute errors: those were already counted
 			// once by the computing goroutine (the rep's share); wrap
 			// errors are counted per item in the fan-out.
-			sc.uniqVerd[u] = nil
 			sc.uniqTier[u] |= tierWrapErr
 			continue
 		}
 		sc.uniqVerd[u] = v
 	}
-	tr.Record("batch-wrap", spanStart)
+	if uniq > 0 {
+		tr.Record("wrap", spanStart)
+	}
 
-	// Stage 7: fan out positionally, replaying the per-item path's
-	// counter and flag semantics for every item.
+	// Stage 7: fan out positionally, counting every item.
 	for i := 0; i < n; i++ {
 		switch sc.state[i] {
 		case itemErrPre:
 			sc.items[i].Err = sc.errs[i]
-			b.stats.Errors++
+			st.Errors++
 		case itemErrFp:
-			sc.items[i].Err = sc.errs[i]
-			b.stats.Errors++
-			e.observeRequestAt(sc.reqs[i].Mode, batchStart, false, sc.errs[i])
+			e.fail(sc, i, sc.errs[i], start)
 		case itemInexact:
 			if sc.errs[i] != nil {
-				sc.items[i].Err = sc.errs[i]
-				b.stats.Errors++
-				e.observeRequestAt(sc.reqs[i].Mode, batchStart, false, sc.errs[i])
+				e.fail(sc, i, sc.errs[i], start)
 				continue
 			}
 			v, err := sc.ds[i].WrapPayload(sc.vals1[i])
 			if err != nil {
-				err = fmt.Errorf("service: %s: %w", sc.ds[i].Name(), err)
 				e.errors.Add(1)
-				sc.items[i].Err = err
-				b.stats.Errors++
-				e.observeRequestAt(sc.reqs[i].Mode, batchStart, false, err)
+				e.fail(sc, i, fmt.Errorf("service: %s: %w", sc.ds[i].Name(), err), start)
 				continue
 			}
-			b.stats.Computed++
-			sc.resps[i] = Response{
-				Mode:        sc.reqs[i].Mode,
-				Fingerprint: sc.fps[i],
-				Class:       v.Class,
-				Detail:      v.Detail,
-				Payload:     sc.vals1[i],
-			}
-			sc.items[i].Response = &sc.resps[i]
-			e.observeRequestAt(sc.reqs[i].Mode, batchStart, false, nil)
+			st.Computed++
+			e.serve(sc, i, v, sc.vals1[i], tierOwned, start)
 		case itemExact:
 			u := sc.group[i]
 			tier := sc.uniqTier[u] &^ tierWrapErr
-			name := sc.ds[i].Name()
 			// Every exact item probed the sealed tier (as one sweep), so
-			// each counts a sealed outcome, like the per-item path.
+			// each counts a sealed outcome.
 			if e.sealed != nil {
 				if tier == tierSealed {
 					e.sealedHits.Add(1)
-					e.observeSealed(name, true)
 				} else {
 					e.sealedMisses.Add(1)
-					e.observeSealed(name, false)
 				}
+				e.observeSealed(sc.ds[i].Name(), tier == tierSealed)
 			}
 			if err := sc.uniqErr[u]; err != nil {
 				// The computing goroutine counted the rep's error for
 				// owned compute failures; every other item (duplicates,
 				// joins, wrap failures) counts its own.
-				owned := tier == tierOwned && sc.uniqTier[u]&tierWrapErr == 0
-				if !(owned && sc.uniqRep[u] == int32(i)) {
+				ownedRep := sc.uniqTier[u] == tierOwned && sc.uniqRep[u] == int32(i)
+				if !ownedRep {
 					e.errors.Add(1)
 				}
-				sc.items[i].Err = err
-				b.stats.Errors++
-				e.observeRequestAt(name, batchStart, false, err)
+				e.fail(sc, i, err, start)
 				continue
 			}
-			v := sc.uniqVerd[u]
-			hit, coalesced, sealedFlag := false, false, false
+			if tier == tierOwned && sc.uniqRep[u] != int32(i) {
+				// An intra-batch duplicate of a computed key shares the
+				// computation, like a join.
+				tier = tierJoined
+			}
 			switch tier {
 			case tierSealed:
-				hit, sealedFlag = true, true
-				b.stats.SealedHits++
+				st.SealedHits++
 			case tierMemo:
-				hit = true
-				b.stats.MemoHits++
+				st.MemoHits++
 			case tierOwned:
-				if sc.uniqRep[u] == int32(i) {
-					b.stats.Computed++
-				} else {
-					coalesced = true
-					e.coalesced.Add(1)
-					b.stats.Coalesced++
-				}
+				st.Computed++
 			case tierJoined:
-				coalesced = true
 				e.coalesced.Add(1)
-				b.stats.Coalesced++
+				st.Coalesced++
 			}
-			sc.resps[i] = Response{
-				Mode:        sc.reqs[i].Mode,
-				Fingerprint: sc.fps[i],
-				CacheHit:    hit,
-				Coalesced:   coalesced,
-				Sealed:      sealedFlag,
-				Class:       v.Class,
-				Detail:      v.Detail,
-				Payload:     sc.uniqVals[u],
-			}
-			sc.items[i].Response = &sc.resps[i]
-			e.observeRequestAt(name, batchStart, hit, nil)
+			e.serve(sc, i, sc.uniqVerd[u], sc.uniqVals[u], tier, start)
 		}
-	}
-	b.stats.Inexact = 0
-	for i := 0; i < n; i++ {
-		if sc.state[i] == itemInexact {
-			b.stats.Inexact++
-		}
-	}
-	if e.obs != nil {
-		e.obs.observeBatchItems(&b.stats)
 	}
 	return sc.items
+}
+
+// resolve runs stage 1 for item i of sc: decider lookup, Normalize,
+// Fingerprint, and the memo key of an exact fingerprint.
+func (e *Engine) resolve(sc *batchScratch, i int) {
+	req := &sc.reqs[i]
+	d, ok := e.registry.Get(req.Mode)
+	if !ok {
+		sc.errs[i] = fmt.Errorf("service: unknown mode %q (registered: %s)",
+			req.Mode, strings.Join(e.registry.Names(), ", "))
+		sc.state[i] = itemErrPre
+		return
+	}
+	sc.ds[i] = d
+	if err := d.Normalize(req); err != nil {
+		sc.errs[i], sc.state[i] = err, itemErrPre
+		return
+	}
+	fp, exact, err := d.Fingerprint(req)
+	switch {
+	case err != nil:
+		sc.errs[i], sc.state[i] = err, itemErrFp
+	case !exact:
+		sc.fps[i], sc.state[i] = fp, itemInexact
+	default:
+		sc.fps[i], sc.state[i] = fp, itemExact
+		sc.keys[i] = memo.Key(d.MemoDomain(req), fp)
+	}
+}
+
+// countItem updates the serving counters for one item's stage-1
+// outcome. Unknown modes (d == nil) get their own reject counter, so
+// they pollute no decider's bucket; Normalize rejections count only as
+// errors, never as served requests, which keeps Requests/Errors
+// comparable across versions.
+func (e *Engine) countItem(d decide.Decider, state uint8) {
+	if state == itemErrPre {
+		if d == nil {
+			e.unknownMode.Add(1)
+		}
+		e.errors.Add(1)
+		return
+	}
+	e.requests.Add(1)
+	// The counter map is snapshotted at construction; a decider
+	// registered after New still serves (registry lookups are live) but
+	// has no per-decider bucket.
+	if counter, ok := e.byDecider[d.Name()]; ok {
+		counter.Add(1)
+	}
+	if state == itemErrFp {
+		e.errors.Add(1)
+	}
+}
+
+// computeOwned computes owned unique key u under the background context
+// — later identical requests coalesce onto it, and the first caller
+// hanging up must not fail them — then fills the cache before
+// unregistering the call, the singleflight invariant. tr gets compute
+// and memo-put spans (nil when the compute runs on the worker pool).
+func (e *Engine) computeOwned(sc *batchScratch, u int, tr *obs.Trace) {
+	rep, c, key := sc.uniqRep[u], sc.calls[u], sc.uniqKeys[u]
+	var spanStart time.Time
+	if tr != nil {
+		spanStart = time.Now()
+	}
+	c.payload, c.err = sc.ds[rep].Compute(context.Background(), &sc.reqs[rep])
+	tr.Record("compute", spanStart)
+	if c.err == nil {
+		if tr != nil {
+			spanStart = time.Now()
+		}
+		e.cache.Put(key, c.payload)
+		tr.Record("memo-put", spanStart)
+	} else {
+		e.errors.Add(1)
+	}
+	e.mu.Lock()
+	delete(e.inflight, key)
+	e.mu.Unlock()
+	close(c.done)
+}
+
+// computeInexact computes inexact item i under the caller's context:
+// it is never cached or coalesced, so no one else waits on it.
+func (e *Engine) computeInexact(ctx context.Context, sc *batchScratch, i int, tr *obs.Trace) {
+	var spanStart time.Time
+	if tr != nil {
+		spanStart = time.Now()
+	}
+	payload, err := sc.ds[i].Compute(ctx, &sc.reqs[i])
+	tr.Record("compute", spanStart)
+	if err != nil {
+		e.errors.Add(1)
+		sc.errs[i] = err
+		return
+	}
+	sc.vals1[i] = payload
+}
+
+// serve fills item i's response from verdict v over payload, served
+// from tier, and observes it.
+func (e *Engine) serve(sc *batchScratch, i int, v *decide.Verdict, payload any, tier uint8, start time.Time) {
+	hit := tier == tierSealed || tier == tierMemo
+	sc.resps[i] = Response{
+		Mode:        sc.reqs[i].Mode,
+		Fingerprint: sc.fps[i],
+		CacheHit:    hit,
+		Coalesced:   tier == tierJoined,
+		Sealed:      tier == tierSealed,
+		Class:       v.Class,
+		Detail:      v.Detail,
+		Payload:     payload,
+	}
+	sc.items[i].Response = &sc.resps[i]
+	e.observeRequest(sc.ds[i].Name(), start, hit, nil)
+}
+
+// fail records item i's error (already counted by the caller) and
+// observes it.
+func (e *Engine) fail(sc *batchScratch, i int, err error, start time.Time) {
+	sc.items[i].Err = err
+	sc.stats.Errors++
+	e.observeRequest(sc.ds[i].Name(), start, false, err)
 }
 
 // batchKey pairs an item's memo key with its batch position for the
@@ -720,20 +731,11 @@ func cmpBatchKey(a, b batchKey) int {
 // item — from compute failures, whose rep share was already counted).
 const tierWrapErr uint8 = 0x80
 
-// observeRequestAt is observeRequest guarded for uninstrumented
-// engines (batchStart is only taken when obs is on).
-func (e *Engine) observeRequestAt(decider string, start time.Time, hit bool, err error) {
-	if e.obs == nil {
-		return
-	}
-	e.observeRequest(decider, start, hit, err)
-}
-
 // sealedVerdict returns the wrapped verdict for sealed entry idx,
 // memoizing it on the engine: sealed entries are a fixed immutable set
 // and WrapPayload is a pure function of the payload, so each entry is
 // wrapped at most a handful of times (racing fills store the same
-// value) and sealed-hit batch items allocate nothing at steady state.
+// value) and sealed-hit items allocate nothing at steady state.
 func (e *Engine) sealedVerdict(d decide.Decider, idx int32, payload any) (*decide.Verdict, error) {
 	if idx < 0 || int(idx) >= len(e.sealedVerdicts) {
 		return d.WrapPayload(payload)
@@ -750,16 +752,16 @@ func (e *Engine) sealedVerdict(d decide.Decider, idx int32, payload any) (*decid
 	return v, nil
 }
 
-// ClassifyBatchCtx serves one batch through the vectorized pipeline:
-// one pooled scratch arena canonicalizes every item, items are
-// deduplicated by memo key so each orbit classifies once, the
-// deduplicated set resolves through SealedTable.GetBatch and
-// memo.Cache.GetBatch in fingerprint-sorted order, residual misses
-// coalesce through the engine singleflight (shared with concurrent
-// batches and single requests), and results fan back out positionally.
-// Results are freshly allocated and safe to retain; latency-sensitive
-// callers that control result lifetime use Engine.NewBatch to skip the
-// copy. Not usable after Close.
+// ClassifyBatchCtx serves one batch through the pipeline: one pooled
+// scratch arena canonicalizes every item, items are deduplicated by
+// memo key so each orbit classifies once, the deduplicated set resolves
+// through SealedTable.GetBatch and memo.Cache.GetBatch in
+// fingerprint-sorted order, residual misses coalesce through the engine
+// singleflight (shared with concurrent batches and single requests),
+// and results fan back out positionally. Results are freshly allocated
+// and safe to retain; latency-sensitive callers that control result
+// lifetime use Engine.NewBatch to skip the copy. A batch with more than
+// one compute needs the worker pool, so it is not usable after Close.
 func (e *Engine) ClassifyBatchCtx(ctx context.Context, reqs []Request) []BatchItem {
 	b := e.NewBatch()
 	defer b.Release()

@@ -6,6 +6,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -308,6 +309,63 @@ func TestClassifyBatchSealedZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestBatchArenaResetDropsPreviousPass: a batch of one after a large
+// batch on the same arena leaves no reference beyond index 0, in the
+// per-item slots or the per-unique ones, so the arena does not keep the
+// large batch's problems and payloads alive.
+func TestBatchArenaResetDropsPreviousPass(t *testing.T) {
+	e := newTestEngine(t)
+	var large []Request
+	for copies := 0; copies < 4; copies++ {
+		for n2 := uint(0); n2 < 8; n2++ {
+			for edge := uint(0); edge < 8; edge++ {
+				large = append(large, Request{Mode: ModeCycles, Problem: enumerate.FromMasks(2, n2, edge)})
+			}
+		}
+	}
+	large = append(large, Request{Mode: "no-such-mode", Problem: problems.Trivial(2)})
+	b := e.NewBatch()
+	defer b.Release()
+	ctx := context.Background()
+	b.Classify(ctx, large)
+	if st := b.Stats(); st.Unique < 2 || st.Deduped == 0 {
+		t.Fatalf("large batch did not fill the unique set: %+v", st)
+	}
+	items := b.Classify(ctx, []Request{{Mode: ModeCycles, Problem: problems.Coloring(3, 2)}})
+	if len(items) != 1 || items[0].Err != nil {
+		t.Fatalf("batch of one: %+v", items)
+	}
+
+	sc := b.sc
+	tail := func(name string, n, capacity int, zero func(i int) bool) {
+		t.Helper()
+		for i := 1; i < capacity; i++ {
+			if !zero(i) {
+				t.Errorf("%s[%d] (len %d) still holds the previous pass's value", name, i, n)
+				return
+			}
+		}
+	}
+	reqs, ds, errs, vals1 := sc.reqs[:cap(sc.reqs)], sc.ds[:cap(sc.ds)], sc.errs[:cap(sc.errs)], sc.vals1[:cap(sc.vals1)]
+	resps, bitems := sc.resps[:cap(sc.resps)], sc.items[:cap(sc.items)]
+	tail("reqs", len(sc.reqs), len(reqs), func(i int) bool { return reqs[i] == Request{} })
+	tail("ds", len(sc.ds), len(ds), func(i int) bool { return ds[i] == nil })
+	tail("errs", len(sc.errs), len(errs), func(i int) bool { return errs[i] == nil })
+	tail("vals1", len(sc.vals1), len(vals1), func(i int) bool { return vals1[i] == nil })
+	tail("resps", len(sc.resps), len(resps), func(i int) bool { return resps[i] == Response{} })
+	tail("items", len(sc.items), len(bitems), func(i int) bool { return bitems[i] == BatchItem{} })
+	uvals, uerr, uverd := sc.uniqVals[:cap(sc.uniqVals)], sc.uniqErr[:cap(sc.uniqErr)], sc.uniqVerd[:cap(sc.uniqVerd)]
+	calls, mvals := sc.calls[:cap(sc.calls)], sc.missVals[:cap(sc.missVals)]
+	tail("uniqVals", len(sc.uniqVals), len(uvals), func(i int) bool { return uvals[i] == nil })
+	tail("uniqErr", len(sc.uniqErr), len(uerr), func(i int) bool { return uerr[i] == nil })
+	tail("uniqVerd", len(sc.uniqVerd), len(uverd), func(i int) bool { return uverd[i] == nil })
+	tail("calls", len(sc.calls), len(calls), func(i int) bool { return calls[i] == nil })
+	tail("missVals", len(sc.missVals), len(mvals), func(i int) bool { return mvals[i] == nil })
+	if len(sc.ident) != 0 {
+		t.Errorf("identity prefilter still holds %d entries", len(sc.ident))
+	}
+}
+
 // slowDecider is a test decider with observable compute counts and a
 // tunable compute delay, for the singleflight race test.
 type slowDecider struct {
@@ -478,11 +536,13 @@ func TestBatchHTTPBitIdenticalToSingle(t *testing.T) {
 	// then compare the second pass.
 	for pass := 0; pass < 2; pass++ {
 		singles := make([]*wireResponse, len(bodies))
+		singleRaws := make([][]byte, len(bodies))
 		for i, body := range bodies {
 			resp, raw := postJSON(t, singleSrv.URL+"/v1/classify", body)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("single %d: status %d, body %s", i, resp.StatusCode, raw)
 			}
+			singleRaws[i] = raw
 			singles[i] = &wireResponse{}
 			if err := json.Unmarshal(raw, singles[i]); err != nil {
 				t.Fatal(err)
@@ -505,6 +565,16 @@ func TestBatchHTTPBitIdenticalToSingle(t *testing.T) {
 		}
 		if pass == 0 {
 			continue
+		}
+		// One encoder: each single reply is the batch item's bytes.
+		var rawOut struct{ Results []json.RawMessage }
+		if err := json.Unmarshal(raw, &rawOut); err != nil {
+			t.Fatal(err)
+		}
+		for i, item := range rawOut.Results {
+			if single := bytes.TrimSuffix(singleRaws[i], []byte("\n")); !bytes.Equal(single, item) {
+				t.Errorf("item %d bytes diverge:\n batch:  %s\n single: %s", i, item, single)
+			}
 		}
 		for i, got := range out.Results {
 			want := singles[i]

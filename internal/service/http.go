@@ -129,30 +129,6 @@ func requestName(req *Request) string {
 	}
 }
 
-// encodeResponse flattens an engine response for the wire. Detail types
-// are service-defined and marshalable by construction; a marshal
-// failure is a programming error, reported so callers can map it to a
-// real error status instead of a 200 with a missing detail.
-func encodeResponse(name string, resp *Response) (*wireResponse, error) {
-	wr := &wireResponse{
-		Problem:     name,
-		Mode:        resp.Mode,
-		Fingerprint: fmt.Sprintf("%016x", resp.Fingerprint),
-		CacheHit:    resp.CacheHit,
-		Coalesced:   resp.Coalesced,
-		Sealed:      resp.Sealed,
-		Class:       resp.Class.String(),
-	}
-	if resp.Detail != nil {
-		raw, err := json.Marshal(resp.Detail)
-		if err != nil {
-			return nil, fmt.Errorf("encode %s detail: %v", resp.Mode, err)
-		}
-		wr.Detail = raw
-	}
-	return wr, nil
-}
-
 func (e *Engine) handleClassify(w http.ResponseWriter, r *http.Request) {
 	tr := obs.TraceFrom(r.Context())
 	var spanStart time.Time
@@ -178,13 +154,15 @@ func (e *Engine) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if tr != nil {
 		spanStart = time.Now()
 	}
-	wresp, err := encodeResponse(requestName(&req), resp)
+	be := getEncoder()
+	defer be.release()
+	err = be.writeResult(requestName(&req), resp)
 	tr.Record("encode", spanStart)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, wresp)
+	be.flush(w)
 }
 
 type wireBatchRequest struct {
@@ -208,16 +186,42 @@ type wireBatchLimitError struct {
 	Items    int    `json:"items"`
 }
 
-// batchEncoder is the pooled batch response writer: one buffer for the
-// whole body and a detail-marshal cache keyed by detail pointer, so a
+// batchEncoder is the pooled response writer behind both classify
+// routes: one buffer for the whole body, a reused json.Encoder and wire
+// struct, and a detail-marshal cache keyed by detail pointer, so a
 // dedup group's shared detail is marshaled once instead of per item.
+// Every item is written compactly, one per line, so a /v1/classify
+// body is byte for byte the matching /v1/classify/batch item.
 type batchEncoder struct {
 	buf     bytes.Buffer
+	enc     *json.Encoder
+	wr      wireResponse
 	details map[any]json.RawMessage
 }
 
 var batchEncPool = sync.Pool{
-	New: func() any { return &batchEncoder{details: map[any]json.RawMessage{}} },
+	New: func() any {
+		be := &batchEncoder{details: map[any]json.RawMessage{}}
+		be.enc = json.NewEncoder(&be.buf)
+		return be
+	},
+}
+
+func getEncoder() *batchEncoder { return batchEncPool.Get().(*batchEncoder) }
+
+// release empties the encoder and returns it to the pool.
+func (be *batchEncoder) release() {
+	be.buf.Reset()
+	be.wr = wireResponse{}
+	clear(be.details)
+	batchEncPool.Put(be)
+}
+
+// flush writes the buffered body as a 200 JSON response.
+func (be *batchEncoder) flush(w http.ResponseWriter) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(be.buf.Bytes())
 }
 
 // marshalDetail returns the wire bytes of a verdict detail, cached by
@@ -233,6 +237,36 @@ func (be *batchEncoder) marshalDetail(mode string, detail any) (json.RawMessage,
 	}
 	be.details[detail] = raw
 	return raw, nil
+}
+
+// writeResult appends the wire form of one served item. Detail types
+// are service-defined and marshalable by construction; a failure is a
+// programming error, returned (with nothing written) so the caller can
+// report it instead of sending a 200 with a missing detail.
+func (be *batchEncoder) writeResult(name string, resp *Response) error {
+	be.wr = wireResponse{
+		Problem:     name,
+		Mode:        resp.Mode,
+		Fingerprint: fmt.Sprintf("%016x", resp.Fingerprint),
+		CacheHit:    resp.CacheHit,
+		Coalesced:   resp.Coalesced,
+		Sealed:      resp.Sealed,
+		Class:       resp.Class.String(),
+	}
+	if resp.Detail != nil {
+		raw, err := be.marshalDetail(resp.Mode, resp.Detail)
+		if err != nil {
+			return err
+		}
+		be.wr.Detail = raw
+	}
+	return be.enc.Encode(&be.wr)
+}
+
+// writeError appends the wire form of one failed item.
+func (be *batchEncoder) writeError(name, mode string, err error) {
+	be.wr = wireResponse{Problem: name, Mode: mode, Error: err.Error()}
+	_ = be.enc.Encode(&be.wr)
 }
 
 func (e *Engine) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -293,60 +327,31 @@ func (e *Engine) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer b.Release()
 	items := b.Classify(r.Context(), valid)
 
-	// Stream the response through the pooled encoder: one buffer write
-	// per request instead of a per-item json.Marshal, with dedup groups
-	// sharing one detail marshal.
-	be := batchEncPool.Get().(*batchEncoder)
-	defer func() {
-		be.buf.Reset()
-		clear(be.details)
-		batchEncPool.Put(be)
-	}()
-	enc := json.NewEncoder(&be.buf)
+	// Stream the response through the pooled encoder, one line per
+	// item, with dedup groups sharing one detail marshal. Encode appends
+	// a newline after each value — legal JSON whitespace inside the
+	// array.
+	be := getEncoder()
+	defer be.release()
 	be.buf.WriteString(`{"results":[`)
-	var wr wireResponse
 	next := 0
 	for i := range reqs {
 		if i > 0 {
 			be.buf.WriteByte(',')
 		}
-		wr = wireResponse{}
 		if decodeErrs[i] != nil {
-			wr.Mode = wb.Requests[i].Mode
-			wr.Error = decodeErrs[i].Error()
-		} else {
-			j := next
-			next++
-			item := items[j]
-			wr.Problem = requestName(&valid[j])
-			wr.Mode = valid[j].Mode
-			switch {
-			case item.Err != nil:
-				wr.Error = item.Err.Error()
-			default:
-				resp := item.Response
-				wr.Fingerprint = fmt.Sprintf("%016x", resp.Fingerprint)
-				wr.CacheHit = resp.CacheHit
-				wr.Coalesced = resp.Coalesced
-				wr.Sealed = resp.Sealed
-				wr.Class = resp.Class.String()
-				if resp.Detail != nil {
-					raw, err := be.marshalDetail(resp.Mode, resp.Detail)
-					if err != nil {
-						// Positional: an encode failure stays in its slot
-						// as an explicit item error.
-						wr = wireResponse{Problem: wr.Problem, Mode: wr.Mode, Error: err.Error()}
-					} else {
-						wr.Detail = raw
-					}
-				}
-			}
+			be.writeError("", wb.Requests[i].Mode, decodeErrs[i])
+			continue
 		}
-		// Encode appends a newline after the value — legal JSON
-		// whitespace inside the array.
-		if err := enc.Encode(&wr); err != nil {
-			httpError(w, http.StatusInternalServerError, "encode batch: %v", err)
-			return
+		item, req := items[next], &valid[next]
+		next++
+		if item.Err == nil {
+			// Positional: an encode failure stays in its slot as an
+			// explicit item error.
+			item.Err = be.writeResult(requestName(req), item.Response)
+		}
+		if item.Err != nil {
+			be.writeError(requestName(req), req.Mode, item.Err)
 		}
 	}
 	be.buf.WriteByte(']')
@@ -354,9 +359,7 @@ func (e *Engine) handleBatch(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&be.buf, `,"deduped":%d`, d)
 	}
 	be.buf.WriteString("}\n")
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(be.buf.Bytes())
+	be.flush(w)
 }
 
 // wireCensus summarizes a census for the wire: per-class counts rather

@@ -40,7 +40,8 @@ type engineObs struct {
 	// checkpoint observes snapshot-checkpoint durations (fed by the
 	// jobs manager's OnCheckpoint hook).
 	checkpoint *obs.Histogram
-	// batch observes ClassifyBatch request sizes.
+	// batch observes ClassifyBatch request sizes (batches only: single
+	// requests never count as batches of one).
 	batch *obs.Histogram
 	// batchDedup observes, per batch, the fraction of exact-fingerprint
 	// items resolved by intra-batch dedup (0 = all unique, →1 = all
@@ -60,9 +61,36 @@ type engineObs struct {
 	batchItemsError     *obs.Counter
 }
 
-// observeBatchItems folds one batch's fan-out tallies into the
-// per-tier item counters.
-func (eo *engineObs) observeBatchItems(st *BatchStats) {
+// observeBatch records the batch-only families for one Batch.Classify
+// pass on sc: its size, its dedup ratio, the share of its unique keys
+// each read tier served, and its items by resolution tier. Single
+// requests (batches of one served by ClassifyCtx) never reach it. No-op
+// when the engine is uninstrumented.
+func (e *Engine) observeBatch(sc *batchScratch) {
+	eo := e.obs
+	if eo == nil {
+		return
+	}
+	st := &sc.stats
+	eo.batch.Observe(float64(st.Items))
+	if exact := st.Unique + st.Deduped; exact > 0 {
+		eo.batchDedup.Observe(float64(st.Deduped) / float64(exact))
+	}
+	if st.Unique > 0 {
+		sealedKeys, memoKeys := 0, 0
+		for _, tier := range sc.uniqTier {
+			switch tier &^ tierWrapErr {
+			case tierSealed:
+				sealedKeys++
+			case tierMemo:
+				memoKeys++
+			}
+		}
+		if e.sealed != nil {
+			eo.batchSealedRate.Observe(float64(sealedKeys) / float64(st.Unique))
+		}
+		eo.batchMemoRate.Observe(float64(memoKeys) / float64(st.Unique))
+	}
 	eo.batchItemsSealed.Add(uint64(st.SealedHits))
 	eo.batchItemsMemo.Add(uint64(st.MemoHits))
 	eo.batchItemsComputed.Add(uint64(st.Computed))

@@ -231,9 +231,50 @@ func TestSealedCorruptTableIsRefusedNotServed(t *testing.T) {
 	}
 }
 
+// TestSealedLookupZeroAlloc: a sealed hit allocates nothing, from the
+// heap-loaded table and from the memory-mapped one alike — the tier's
+// whole contract (one hash, one probe, no cache churn).
+func TestSealedLookupZeroAlloc(t *testing.T) {
+	sealed, err := BuildSealed(testSealConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "landscape.lclseal")
+	if _, err := store.SaveSealed(path, sealed); err != nil {
+		t.Fatal(err)
+	}
+	heap, err := store.LoadSealed(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := store.OpenSealedMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	var keys []uint64
+	for _, sec := range sealed.Sections {
+		for _, e := range sec.Entries {
+			keys = append(keys, memo.Key(sec.Domain, e.Fingerprint))
+		}
+	}
+	for name, tbl := range map[string]*store.SealedTable{"heap": heap, "mmap": mapped} {
+		allocs := testing.AllocsPerRun(10, func() {
+			for _, k := range keys {
+				if _, ok := tbl.Get(k); !ok {
+					t.Fatalf("%s: miss on a sealed key", name)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s sealed lookups: %v allocs per sweep, want 0", name, allocs)
+		}
+	}
+}
+
 // BenchmarkSealedLookup measures the sealed hit path against the warm
 // memo-cache hit path over the same keys — the tier's reason to exist.
-// The sealed sub-benchmark is CI's 0 allocs/op gate.
+// TestSealedLookupZeroAlloc gates the sealed paths' 0 allocs/op.
 func BenchmarkSealedLookup(b *testing.B) {
 	sealed, err := BuildSealed(SealConfig{CycleKs: []int{3}})
 	if err != nil {

@@ -20,7 +20,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -434,186 +433,36 @@ func (e *Engine) Close() {
 func (e *Engine) Deciders() []string { return e.registry.Names() }
 
 // Classify serves one request: resolve the decider, normalize,
-// fingerprint, consult the cache, coalesce with an identical in-flight
-// request if one exists, otherwise compute and populate the cache.
+// fingerprint, consult the sealed table and the cache, coalesce with an
+// identical in-flight request if one exists, otherwise compute and
+// populate the cache.
 func (e *Engine) Classify(req Request) (*Response, error) {
 	return e.ClassifyCtx(context.Background(), req)
 }
 
-// ClassifyCtx is Classify with a request context: a trace carried in
-// ctx (obs.ContextWithTrace — the HTTP middleware installs one) gets
-// per-stage spans (fingerprint, memo-get, coalesce, compute, memo-put)
-// and the serving decider's name; the context also reaches the
-// decider's Compute. The trace machinery is nil-safe, so untraced and
-// uninstrumented calls pay only nil checks.
-func (e *Engine) ClassifyCtx(ctx context.Context, req Request) (resp *Response, err error) {
-	tr := obs.TraceFrom(ctx)
-	d, ok := e.registry.Get(req.Mode)
-	if !ok {
-		// Unknown modes get their own reject counter — they must not
-		// pollute any decider's stats bucket.
-		e.unknownMode.Add(1)
-		e.errors.Add(1)
-		return nil, fmt.Errorf("service: unknown mode %q (registered: %s)",
-			req.Mode, strings.Join(e.registry.Names(), ", "))
+// ClassifyCtx is Classify with a request context. The request runs
+// through the batch pipeline as a batch of one on a pooled arena, so
+// single and batch serving share one tier walk. A trace carried in ctx
+// (obs.ContextWithTrace — the HTTP middleware installs one) gets a span
+// per stage that did work (fingerprint, sealed-get, memo-get, coalesce,
+// compute, memo-put, wrap) and the serving decider's name; the context
+// also reaches the Compute of an inexact fingerprint. A cold request
+// computes on the caller's goroutine, so Classify remains usable after
+// Close. The trace machinery is nil-safe, so untraced and uninstrumented
+// calls pay only nil checks.
+func (e *Engine) ClassifyCtx(ctx context.Context, req Request) (*Response, error) {
+	sc := batchScratchPool.Get().(*batchScratch)
+	defer batchScratchPool.Put(sc)
+	reqs := [1]Request{req}
+	item := e.classify(ctx, sc, reqs[:])[0]
+	if d := sc.ds[0]; d != nil {
+		obs.TraceFrom(ctx).SetDecider(d.Name())
 	}
-	tr.SetDecider(d.Name())
-	if err := d.Normalize(&req); err != nil {
-		// Parameter-invalid requests count only as errors, never as
-		// served requests — the pre-registry behavior, kept so
-		// Requests/Errors remain comparable across versions.
-		e.errors.Add(1)
-		return nil, err
+	if item.Err != nil {
+		return nil, item.Err
 	}
-	e.requests.Add(1)
-	// The counter map is snapshotted at construction; a decider
-	// registered after New still serves (registry lookups are live) but
-	// has no per-decider bucket, so guard the lookup instead of
-	// dereferencing nil inside a worker goroutine.
-	if counter, ok := e.byDecider[d.Name()]; ok {
-		counter.Add(1)
-	}
-	var start time.Time
-	if e.obs != nil {
-		start = time.Now()
-		defer func() { e.observeRequest(d.Name(), start, resp != nil && resp.CacheHit, err) }()
-	}
-
-	var spanStart time.Time
-	if tr != nil {
-		spanStart = time.Now()
-	}
-	fp, exact, err := d.Fingerprint(&req)
-	tr.Record("fingerprint", spanStart)
-	if err != nil {
-		e.errors.Add(1)
-		return nil, err
-	}
-	// An inexact fingerprint (canonical permutation search over budget)
-	// is only guaranteed invariant in one direction: isomorphic problems
-	// agree, but refinement-indistinguishable non-isomorphic problems
-	// may collide. Caching under it could serve one problem the other's
-	// answer, so compute directly instead.
-	if !exact {
-		if tr != nil {
-			spanStart = time.Now()
-		}
-		payload, err := d.Compute(ctx, &req)
-		tr.Record("compute", spanStart)
-		if err != nil {
-			e.errors.Add(1)
-			return nil, err
-		}
-		return e.wrap(d, &req, fp, payload, false, false)
-	}
-	key := memo.Key(d.MemoDomain(&req), fp)
-
-	// Sealed landscape tier: the whole finite mask space was classified
-	// offline, so a hit here is a single lock-free probe — ahead of the
-	// memo cache and its shard mutex + LRU bump. A miss (problem outside
-	// the sealed spaces, or no table loaded) falls through unchanged.
-	if e.sealed != nil {
-		if tr != nil {
-			spanStart = time.Now()
-		}
-		v, ok := e.sealed.Get(key)
-		tr.Record("sealed-get", spanStart)
-		if ok {
-			e.sealedHits.Add(1)
-			e.observeSealed(d.Name(), true)
-			resp, err := e.wrap(d, &req, fp, v, true, false)
-			if resp != nil {
-				resp.Sealed = true
-			}
-			return resp, err
-		}
-		e.sealedMisses.Add(1)
-		e.observeSealed(d.Name(), false)
-	}
-
-	// Singleflight: attach to an identical in-flight computation. The
-	// cache is checked under the lock: the computing goroutine fills the
-	// cache before unregistering its call, so a request arriving here
-	// either sees the call or hits the cache — an identical request is
-	// never computed twice (and each request counts at most one miss).
-	// The critical section is a map lookup + LRU bump, dwarfed by the
-	// fingerprinting already done above.
-	if tr != nil {
-		spanStart = time.Now()
-	}
-	e.mu.Lock()
-	if v, ok := e.cache.Get(key); ok {
-		e.mu.Unlock()
-		tr.Record("memo-get", spanStart)
-		return e.wrap(d, &req, fp, v, true, false)
-	}
-	if c, ok := e.inflight[key]; ok {
-		e.mu.Unlock()
-		tr.Record("memo-get", spanStart)
-		if tr != nil {
-			spanStart = time.Now()
-		}
-		<-c.done
-		tr.Record("coalesce", spanStart)
-		if c.err != nil {
-			e.errors.Add(1)
-			return nil, c.err
-		}
-		e.coalesced.Add(1)
-		return e.wrap(d, &req, fp, c.payload, false, true)
-	}
-	c := &call{done: make(chan struct{})}
-	e.inflight[key] = c
-	e.mu.Unlock()
-	tr.Record("memo-get", spanStart)
-
-	if tr != nil {
-		spanStart = time.Now()
-	}
-	// Compute under the background context, not ctx: later identical
-	// requests coalesce onto this computation, and the first caller
-	// hanging up must not fail the waiters.
-	c.payload, c.err = d.Compute(context.Background(), &req)
-	tr.Record("compute", spanStart)
-	if c.err == nil {
-		if tr != nil {
-			spanStart = time.Now()
-		}
-		e.cache.Put(key, c.payload)
-		tr.Record("memo-put", spanStart)
-	} else {
-		e.errors.Add(1)
-	}
-	e.mu.Lock()
-	delete(e.inflight, key)
-	e.mu.Unlock()
-	close(c.done)
-
-	if c.err != nil {
-		return nil, c.err
-	}
-	return e.wrap(d, &req, fp, c.payload, false, false)
-}
-
-// wrap builds a per-request Response around a (possibly shared, always
-// immutable) payload. A payload the decider does not recognize — a
-// cache entry written by other code under a colliding key, say — is an
-// explicit error, never a silently empty response.
-func (e *Engine) wrap(d decide.Decider, req *Request, fp uint64, payload any, hit, coalesced bool) (*Response, error) {
-	v, err := d.WrapPayload(payload)
-	if err != nil {
-		e.errors.Add(1)
-		return nil, fmt.Errorf("service: %s: %w", d.Name(), err)
-	}
-	return &Response{
-		Mode:        req.Mode,
-		Fingerprint: fp,
-		CacheHit:    hit,
-		Coalesced:   coalesced,
-		Class:       v.Class,
-		Detail:      v.Detail,
-		Payload:     payload,
-	}, nil
+	resp := *item.Response
+	return &resp, nil
 }
 
 // BatchItem pairs one batch response with its error; exactly one of the

@@ -8,6 +8,7 @@ import (
 	"repro/internal/classify"
 	"repro/internal/decide"
 	"repro/internal/lcl"
+	"repro/internal/memo"
 	"repro/internal/problems"
 )
 
@@ -334,7 +335,9 @@ func TestInexactFormBypassesCache(t *testing.T) {
 }
 
 // TestWrapRejectsUnknownPayload: a payload the decider does not
-// recognize is an explicit error, never a silently empty response.
+// recognize — here a cache entry written by other code under the
+// request's key — is an explicit error, never a silently empty
+// response.
 func TestWrapRejectsUnknownPayload(t *testing.T) {
 	e := newTestEngine(t)
 	d, ok := e.registry.Get("cycles")
@@ -342,7 +345,12 @@ func TestWrapRejectsUnknownPayload(t *testing.T) {
 		t.Fatal("cycles decider missing")
 	}
 	req := Request{Mode: "cycles", Problem: problems.Trivial(2)}
-	if _, err := e.wrap(d, &req, 1, "not-a-result", false, false); err == nil {
+	fp, exact, err := d.Fingerprint(&req)
+	if err != nil || !exact {
+		t.Fatalf("fingerprint: exact=%v err=%v", exact, err)
+	}
+	e.cache.Put(memo.Key(d.MemoDomain(&req), fp), "not-a-result")
+	if _, err := e.Classify(req); err == nil {
 		t.Fatal("unknown payload wrapped silently")
 	}
 	if st := e.Stats(); st.Errors == 0 {
