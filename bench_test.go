@@ -174,6 +174,25 @@ func BenchmarkGapPipelineTrees(b *testing.B) {
 	}
 }
 
+// TestGapPipelineAllocs is the allocation budget for a cold trees
+// compute: the gap pipeline on MIS at Δ=2, two levels, stays within
+// 60 000 allocations.
+func TestGapPipelineAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the budget is set for non-race builds")
+	}
+	p := problems.MIS(2)
+	degrees := degreesOf(p)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := re.RunGapPipeline(p, degrees, re.Pruned, re.Limits{}, 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 60_000 {
+		t.Errorf("RunGapPipeline(mis, Δ=2, 2 levels): %v allocs, want <= 60000", allocs)
+	}
+}
+
 // E6: Theorem 3.4 failure-probability bookkeeping.
 func BenchmarkFailureEvolution(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -74,4 +76,43 @@ func TestClassifyRejectsInvalidProblem(t *testing.T) {
 	if _, err := ClassifyOnTrees(bad, 2); err == nil {
 		t.Error("invalid problem accepted")
 	}
+}
+
+// TestGapPipelineConcurrent runs the tree gap pipeline over the Δ=2
+// battery from four goroutines at once, sharing the problem values, and
+// checks every verdict against a sequential run. Under -race it fails on
+// any mutable state the pipeline shares across calls.
+func TestGapPipelineConcurrent(t *testing.T) {
+	battery := problems.All(2)
+	summary := func(v *TreeVerdict) string {
+		d := v.Detail
+		return fmt.Sprintf("%s level=%d cycle=%d reason=%q steps=%d", v, v.Level, d.CycleWith, d.Reason, len(d.Seq.Steps))
+	}
+	want := make([]string, len(battery))
+	for i, p := range battery {
+		v, err := ClassifyOnTrees(p, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = summary(v)
+	}
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, p := range battery {
+				v, err := ClassifyOnTrees(p, 2)
+				if err != nil {
+					t.Errorf("%s: %v", p.Name, err)
+					return
+				}
+				if got := summary(v); got != want[i] {
+					t.Errorf("%s: concurrent %s, sequential %s", p.Name, got, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

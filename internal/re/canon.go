@@ -1,8 +1,11 @@
 package re
 
 import (
-	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"repro/internal/lcl"
 )
@@ -14,84 +17,115 @@ import (
 // solvable, which (by Theorem 3.10's contrapositive) certifies an
 // Ω(log* n) lower bound for the original problem.
 
-// labelSignature computes a renaming-invariant signature per output label,
-// refined iteratively (1-dimensional Weisfeiler–Leman over the constraint
-// structure).
-func labelSignatures(p *lcl.Problem, rounds int) []string {
+// labelSignatures computes a renaming-invariant signature per output
+// label, refined iteratively (1-dimensional Weisfeiler–Leman over the
+// constraint structure).
+func labelSignatures(p *lcl.Problem, t *table, rounds int) []string {
 	L := p.NumOut()
 	sig := make([]string, L)
+	var b strings.Builder
 	// Initial: g-membership vector + self-loop flag.
 	for o := 0; o < L; o++ {
-		s := ""
-		for in := 0; in < p.NumIn(); in++ {
-			if p.GAllowed(in, o) {
-				s += "1"
+		b.Reset()
+		for _, gm := range t.g {
+			if gm.Has(o) {
+				b.WriteByte('1')
 			} else {
-				s += "0"
+				b.WriteByte('0')
 			}
 		}
-		if p.EdgeAllowed(o, o) {
-			s += "S"
+		if t.self.Has(o) {
+			b.WriteByte('S')
 		}
-		sig[o] = s
+		sig[o] = b.String()
 	}
+	next := make([]string, L)
+	nodes := make([][]string, L)
+	classes := make([]string, L)
+	var edges, members []string
 	for r := 0; r < rounds; r++ {
-		next := make([]string, L)
-		for o := 0; o < L; o++ {
-			// Edge neighborhood multiset.
-			var edges []string
-			for o2 := 0; o2 < L; o2++ {
-				if p.EdgeAllowed(o, o2) {
-					edges = append(edges, sig[o2])
+		// Node configuration contexts: each config contributes, to every
+		// label o it contains, its degree, o's multiplicity and the sorted
+		// signatures of all its members.
+		for o := range nodes {
+			nodes[o] = nodes[o][:0]
+		}
+		for _, d := range t.degrees {
+			for _, m := range p.Node[d] {
+				members = members[:0]
+				for _, x := range m {
+					members = append(members, sig[x])
 				}
-			}
-			sort.Strings(edges)
-			// Node configuration contexts: for each config containing o,
-			// the sorted signatures of its co-members.
-			var nodes []string
-			for d, list := range p.Node {
-				for _, m := range list {
+				sort.Strings(members)
+				b.Reset()
+				writeList(&b, members)
+				ctx := b.String()
+				for j, o := range m {
+					if slices.Contains(m[:j], o) {
+						continue
+					}
 					count := 0
-					var rest []string
-					for _, x := range m {
+					for _, x := range m[j:] {
 						if x == o {
 							count++
 						}
 					}
-					if count == 0 {
-						continue
-					}
-					for _, x := range m {
-						rest = append(rest, sig[x])
-					}
-					sort.Strings(rest)
-					nodes = append(nodes, fmt.Sprintf("d%d#%d:%v", d, count, rest))
+					nodes[o] = append(nodes[o], "d"+strconv.Itoa(d)+"#"+strconv.Itoa(count)+":"+ctx)
 				}
 			}
-			sort.Strings(nodes)
-			next[o] = fmt.Sprintf("%s|E%v|N%v", sig[o], edges, nodes)
+		}
+		for o := 0; o < L; o++ {
+			// Edge neighborhood multiset.
+			edges = edges[:0]
+			for x := uint64(t.edge[o]); x != 0; x &= x - 1 {
+				edges = append(edges, sig[bits.TrailingZeros64(x)])
+			}
+			sort.Strings(edges)
+			sort.Strings(nodes[o])
+			b.Reset()
+			b.WriteString(sig[o])
+			b.WriteString("|E")
+			writeList(&b, edges)
+			b.WriteString("|N")
+			writeList(&b, nodes[o])
+			next[o] = b.String()
 		}
 		// Compress to keep strings short. Class ids are assigned in sorted
 		// string order so they are canonical across problems (required for
 		// Isomorphic's cross-problem signature matching).
-		uniq := map[string]bool{}
-		for _, s := range next {
-			uniq[s] = true
-		}
-		classes := make([]string, 0, len(uniq))
-		for s := range uniq {
-			classes = append(classes, s)
-		}
+		copy(classes, next)
 		sort.Strings(classes)
-		comp := make(map[string]int, len(classes))
-		for i, s := range classes {
-			comp[s] = i
-		}
+		uniq := slices.Compact(classes)
 		for o := range next {
-			sig[o] = fmt.Sprintf("%d", comp[next[o]])
+			id, _ := slices.BinarySearch(uniq, next[o])
+			sig[o] = strconv.Itoa(id)
 		}
 	}
 	return sig
+}
+
+// writeList writes strs as fmt prints a []string: "[a b c]".
+func writeList(b *strings.Builder, strs []string) {
+	b.WriteByte('[')
+	for i, s := range strs {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(s)
+	}
+	b.WriteByte(']')
+}
+
+// intList renders ints as fmt prints an []int: "[1 2 3]".
+func intList(buf []byte, ints []int) string {
+	buf = append(buf[:0], '[')
+	for i, x := range ints {
+		if i > 0 {
+			buf = append(buf, ' ')
+		}
+		buf = strconv.AppendInt(buf, int64(x), 10)
+	}
+	return string(append(buf, ']'))
 }
 
 // Canonical returns a canonical string for the problem under output-label
@@ -99,10 +133,21 @@ func labelSignatures(p *lcl.Problem, rounds int) []string {
 // by refined signature with deterministic tie-breaking, then renders all
 // constraints under the resulting relabeling; problems with equal
 // canonical strings are isomorphic for all practical battery cases, and
-// Isomorphic double-checks with an exact search.
+// Isomorphic double-checks with an exact search. A problem over more than
+// MaxBaseLabels output labels has no canonical form here: Canonical
+// returns "" for it, and Isomorphic reports it isomorphic to nothing.
 func Canonical(p *lcl.Problem) string {
+	t, err := compile(p)
+	if err != nil {
+		return ""
+	}
+	return canonical(p, t)
+}
+
+// canonical is Canonical on p's compiled table.
+func canonical(p *lcl.Problem, t *table) string {
 	L := p.NumOut()
-	sig := labelSignatures(p, 3)
+	sig := labelSignatures(p, t, 3)
 	order := make([]int, L)
 	for i := range order {
 		order[i] = i
@@ -117,50 +162,64 @@ func Canonical(p *lcl.Problem) string {
 	for newID, old := range order {
 		rename[old] = newID
 	}
-	return renderRenamed(p, rename)
+	return renderRenamed(p, t, rename)
 }
 
-func renderRenamed(p *lcl.Problem, rename []int) string {
-	var parts []string
-	degrees := make([]int, 0, len(p.Node))
-	for d := range p.Node {
-		degrees = append(degrees, d)
-	}
-	sort.Ints(degrees)
-	for _, d := range degrees {
-		var cfgs []string
+// renderRenamed renders p's constraints under rename, each list sorted:
+// "L<n>|[N<d>:[[a b] …] … E:[(a,b) …] g<in>:[a b …] …]".
+func renderRenamed(p *lcl.Problem, t *table, rename []int) string {
+	var b strings.Builder
+	var buf []byte
+	var r []int
+	b.WriteString("L")
+	b.WriteString(strconv.Itoa(p.NumOut()))
+	b.WriteString("|[")
+	var strs []string
+	for _, d := range t.degrees {
+		strs = strs[:0]
 		for _, m := range p.Node[d] {
-			r := make([]int, len(m))
-			for i, x := range m {
-				r[i] = rename[x]
+			r = r[:0]
+			for _, x := range m {
+				r = append(r, rename[x])
 			}
 			sort.Ints(r)
-			cfgs = append(cfgs, fmt.Sprint(r))
+			strs = append(strs, intList(buf, r))
 		}
-		sort.Strings(cfgs)
-		parts = append(parts, fmt.Sprintf("N%d:%v", d, cfgs))
+		sort.Strings(strs)
+		b.WriteString("N")
+		b.WriteString(strconv.Itoa(d))
+		b.WriteString(":")
+		writeList(&b, strs)
+		b.WriteByte(' ')
 	}
-	var edges []string
+	strs = strs[:0]
 	for _, m := range p.Edge {
-		a, b := rename[m[0]], rename[m[1]]
-		if a > b {
-			a, b = b, a
+		a, c := rename[m[0]], rename[m[1]]
+		if a > c {
+			a, c = c, a
 		}
-		edges = append(edges, fmt.Sprintf("(%d,%d)", a, b))
+		buf = append(buf[:0], '(')
+		buf = strconv.AppendInt(buf, int64(a), 10)
+		buf = append(buf, ',')
+		buf = strconv.AppendInt(buf, int64(c), 10)
+		strs = append(strs, string(append(buf, ')')))
 	}
-	sort.Strings(edges)
-	parts = append(parts, fmt.Sprintf("E:%v", edges))
-	for in := 0; in < p.NumIn(); in++ {
-		var gs []int
-		for o := 0; o < p.NumOut(); o++ {
-			if p.GAllowed(in, o) {
-				gs = append(gs, rename[o])
-			}
+	sort.Strings(strs)
+	b.WriteString("E:")
+	writeList(&b, strs)
+	for in, gm := range t.g {
+		r = r[:0]
+		for x := uint64(gm); x != 0; x &= x - 1 {
+			r = append(r, rename[bits.TrailingZeros64(x)])
 		}
-		sort.Ints(gs)
-		parts = append(parts, fmt.Sprintf("g%d:%v", in, gs))
+		sort.Ints(r)
+		b.WriteString(" g")
+		b.WriteString(strconv.Itoa(in))
+		b.WriteString(":")
+		b.WriteString(intList(buf, r))
 	}
-	return fmt.Sprintf("L%d|%v", p.NumOut(), parts)
+	b.WriteByte(']')
+	return b.String()
 }
 
 // isoBudget bounds the backtracking search; problems whose symmetry
@@ -173,6 +232,19 @@ const isoBudget = 2_000_000
 // renaming (inputs fixed), by signature-pruned backtracking with a node
 // budget. Within the budget the answer is exact.
 func Isomorphic(a, b *lcl.Problem) bool {
+	ta, err := compile(a)
+	if err != nil {
+		return false
+	}
+	tb, err := compile(b)
+	if err != nil {
+		return false
+	}
+	return isomorphic(a, ta, b, tb)
+}
+
+// isomorphic is Isomorphic on the problems' compiled tables.
+func isomorphic(a *lcl.Problem, ta *table, b *lcl.Problem, tb *table) bool {
 	if a.NumOut() != b.NumOut() || a.NumIn() != b.NumIn() {
 		return false
 	}
@@ -183,8 +255,8 @@ func Isomorphic(a, b *lcl.Problem) bool {
 	if L > 8 {
 		rounds = 6
 	}
-	sa := labelSignatures(a, rounds)
-	sb := labelSignatures(b, rounds)
+	sa := labelSignatures(a, ta, rounds)
+	sb := labelSignatures(b, tb, rounds)
 	// Signature multisets must match.
 	ca := append([]string(nil), sa...)
 	cb := append([]string(nil), sb...)
@@ -195,7 +267,7 @@ func Isomorphic(a, b *lcl.Problem) bool {
 			return false
 		}
 	}
-	bTarget := renderRenamed(b, identity(L))
+	bTarget := renderRenamed(b, tb, identity(L))
 	perm := make([]int, L)
 	used := make([]bool, L)
 	for i := range perm {
@@ -209,7 +281,7 @@ func Isomorphic(a, b *lcl.Problem) bool {
 		}
 		budget--
 		if i == L {
-			return renderRenamed(a, perm) == bTarget
+			return renderRenamed(a, ta, perm) == bTarget
 		}
 		for j := 0; j < L; j++ {
 			if used[j] || sa[i] != sb[j] {
@@ -217,7 +289,7 @@ func Isomorphic(a, b *lcl.Problem) bool {
 			}
 			// Local consistency: g and edge rows must match under the
 			// partial mapping.
-			if !consistent(a, b, perm, i, j) {
+			if !consistent(ta, tb, perm, i, j) {
 				continue
 			}
 			perm[i] = j
@@ -241,20 +313,20 @@ func identity(n int) []int {
 	return id
 }
 
-func consistent(a, b *lcl.Problem, perm []int, i, j int) bool {
-	for in := 0; in < a.NumIn(); in++ {
-		if a.GAllowed(in, i) != b.GAllowed(in, j) {
+func consistent(a, b *table, perm []int, i, j int) bool {
+	for in := range a.g {
+		if a.g[in].Has(i) != b.g[in].Has(j) {
 			return false
 		}
 	}
-	if a.EdgeAllowed(i, i) != b.EdgeAllowed(j, j) {
+	if a.self.Has(i) != b.self.Has(j) {
 		return false
 	}
 	for k, pk := range perm {
 		if pk < 0 || k == i {
 			continue
 		}
-		if a.EdgeAllowed(i, k) != b.EdgeAllowed(j, pk) {
+		if a.edge[i].Has(k) != b.edge[j].Has(pk) {
 			return false
 		}
 	}

@@ -2,6 +2,7 @@ package re
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -116,5 +117,32 @@ func TestTwoColoringSequenceGrowsLinearly(t *testing.T) {
 		if _, ok := ZeroRoundSolvable(seq.ProblemAt(level), []int{1, 2}); ok {
 			t.Fatalf("2-coloring became 0-round solvable at level %d", level)
 		}
+	}
+}
+
+// TestGapPipelineReasonDeterministic: when several degrees exhaust
+// MaxExpandIter in the same R̄ step, the inconclusive reason names the
+// smallest of them, on every run (degrees are walked in ascending order,
+// not in map order).
+func TestGapPipelineReasonDeterministic(t *testing.T) {
+	p := problems.MIS(3)
+	lim := Limits{MaxExpandIter: 1}
+	var first string
+	for run := 0; run < 20; run++ {
+		res, err := RunGapPipeline(p, []int{1, 2, 3}, Pruned, lim, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Verdict != VerdictInconclusive {
+			t.Fatalf("run %d: verdict %v, want inconclusive", run, res.Verdict)
+		}
+		if run == 0 {
+			first = res.Reason
+		} else if res.Reason != first {
+			t.Fatalf("run %d: reason %q, run 0 gave %q", run, res.Reason, first)
+		}
+	}
+	if !strings.Contains(first, "exceeded 1 states at degree 1") {
+		t.Errorf("reason %q does not name degree 1", first)
 	}
 }

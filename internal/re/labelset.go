@@ -121,14 +121,6 @@ func IntersectionClosure(rows []Set) []Set {
 // the *new* alphabet during construction (ids index the candidate list).
 type idMultiset []int
 
-func (m idMultiset) key() string {
-	s := ""
-	for _, x := range m {
-		s += fmt.Sprintf("%d,", x)
-	}
-	return s
-}
-
 // multisetsOf enumerates sorted multisets of the given size over ids
 // 0..count-1, invoking fn for each. fn must not retain the slice.
 func multisetsOf(count, size int, fn func(idMultiset)) {

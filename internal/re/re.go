@@ -1,8 +1,12 @@
 package re
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/lcl"
 )
@@ -71,27 +75,24 @@ type Step struct {
 	Op      Op
 	Prob    *lcl.Problem
 	Meaning []Set // Meaning[newLabel] = set of parent output labels
+
+	tab *table // Prob's constraint table, reused when Prob is the next base
 }
 
 // Apply constructs R(base) or R̄(base) per Definitions 3.1/3.2.
 func Apply(base *lcl.Problem, op Op, mode Mode, lim Limits) (*Step, error) {
+	tab, err := compile(base)
+	if err != nil {
+		return nil, err
+	}
+	return apply(base, tab, op, mode, lim)
+}
+
+// apply is Apply on base's compiled table.
+func apply(base *lcl.Problem, tab *table, op Op, mode Mode, lim Limits) (*Step, error) {
 	lim = lim.withDefaults()
 	L := base.NumOut()
-	if L > MaxBaseLabels {
-		return nil, fmt.Errorf("re: base alphabet %d exceeds %d", L, MaxBaseLabels)
-	}
-	full := Set(0)
-	for i := 0; i < L; i++ {
-		full = full.Add(i)
-	}
-	gMask := make([]Set, base.NumIn())
-	for in := 0; in < base.NumIn(); in++ {
-		for o := 0; o < L; o++ {
-			if base.GAllowed(in, o) {
-				gMask[in] = gMask[in].Add(o)
-			}
-		}
-	}
+	full := Set(1)<<uint(L) - 1
 
 	// 1. Candidate labels.
 	var cand []Set
@@ -106,7 +107,7 @@ func Apply(base *lcl.Problem, op Op, mode Mode, lim Limits) (*Step, error) {
 		})
 		sort.Slice(cand, func(i, j int) bool { return cand[i] < cand[j] })
 	case Pruned:
-		seeds, err := prunedSeeds(base, op, full, lim)
+		seeds, err := prunedSeeds(tab, op, full, lim)
 		if err != nil {
 			return nil, err
 		}
@@ -119,7 +120,7 @@ func Apply(base *lcl.Problem, op Op, mode Mode, lim Limits) (*Step, error) {
 		}
 		for _, s := range seeds {
 			add(s)
-			for _, gm := range gMask {
+			for _, gm := range tab.g {
 				add(s.Inter(gm))
 			}
 		}
@@ -139,41 +140,47 @@ func Apply(base *lcl.Problem, op Op, mode Mode, lim Limits) (*Step, error) {
 	for i, s := range cand {
 		newProb.OutNames[i] = setName(s, base)
 	}
+	var slab multisetSlab
 
-	// Edge constraint.
-	edgeOK := func(a, b Set) bool {
-		if op == OpR {
-			return universalEdge(base, a, b)
+	// Edge constraint. R's is universal: {A,B} is allowed iff B lies in
+	// the labels compatible with every a ∈ A. R̄'s is existential: iff B
+	// meets the labels compatible with some a ∈ A.
+	for i, a := range cand {
+		withAll, withSome := full, Set(0)
+		for x := uint64(a); x != 0; x &= x - 1 {
+			row := tab.edge[bits.TrailingZeros64(x)]
+			withAll &= row
+			withSome |= row
 		}
-		return existentialEdge(base, a, b)
-	}
-	for i := range cand {
 		for j := i; j < len(cand); j++ {
-			if edgeOK(cand[i], cand[j]) {
-				newProb.Edge = append(newProb.Edge, lcl.NewMultiset(i, j))
+			b := cand[j]
+			if (op == OpR && b.Subset(withAll)) || (op == OpRBar && !b.Inter(withSome).Empty()) {
+				newProb.Edge = append(newProb.Edge, slab.add(i, j))
 			}
 		}
 	}
 
-	// Node constraints per degree.
-	for d := range base.Node {
+	// Node constraints per degree: existential for R, universal for R̄.
+	for _, d := range tab.degrees {
 		if cm := countMultisets(len(cand), d); cm > lim.MaxConfigs {
 			return nil, fmt.Errorf("re: %s degree-%d enumeration needs %d configs (cap %d)", op, d, cm, lim.MaxConfigs)
 		}
+		n := tab.node[d]
+		sc := newSelScratch(d)
+		sets := make([]Set, d)
 		var configs []lcl.Multiset
 		multisetsOf(len(cand), d, func(m idMultiset) {
-			sets := make([]Set, d)
 			for k, id := range m {
 				sets[k] = cand[id]
 			}
 			var ok bool
 			if op == OpR {
-				ok = existentialNode(base, d, sets)
+				ok = n.exists(sc, sets)
 			} else {
-				ok = universalNode(base, d, sets)
+				ok = n.forAll(sc, sets)
 			}
 			if ok {
-				configs = append(configs, lcl.NewMultiset(append([]int(nil), m...)...))
+				configs = append(configs, slab.add(m...))
 			}
 		})
 		if len(configs) > 0 {
@@ -185,7 +192,7 @@ func Apply(base *lcl.Problem, op Op, mode Mode, lim Limits) (*Step, error) {
 	newProb.G = make([][]int, base.NumIn())
 	for in := range newProb.G {
 		for i, s := range cand {
-			if s.Subset(gMask[in]) {
+			if s.Subset(tab.g[in]) {
 				newProb.G[in] = append(newProb.G[in], i)
 			}
 		}
@@ -193,29 +200,41 @@ func Apply(base *lcl.Problem, op Op, mode Mode, lim Limits) (*Step, error) {
 	if err := newProb.Validate(); err != nil {
 		return nil, fmt.Errorf("re: constructed problem invalid: %w", err)
 	}
-	return &Step{Op: op, Prob: newProb, Meaning: cand}, nil
+	newTab, err := compile(newProb)
+	if err != nil {
+		return nil, err
+	}
+	return &Step{Op: op, Prob: newProb, Meaning: cand, tab: newTab}, nil
+}
+
+// multisetSlab carves multisets out of shared chunks: one allocation per
+// chunk instead of one per configuration. Chunks are never reused, so the
+// multisets it returns stay valid.
+type multisetSlab struct{ buf []int }
+
+func (s *multisetSlab) add(labels ...int) lcl.Multiset {
+	if cap(s.buf)-len(s.buf) < len(labels) {
+		s.buf = make([]int, 0, max(2*cap(s.buf), 64*len(labels)))
+	}
+	start := len(s.buf)
+	s.buf = append(s.buf, labels...)
+	return lcl.Multiset(s.buf[start:len(s.buf):len(s.buf)])
 }
 
 // prunedSeeds returns the candidate-label seeds for Pruned mode.
-func prunedSeeds(base *lcl.Problem, op Op, full Set, lim Limits) ([]Set, error) {
+func prunedSeeds(tab *table, op Op, full Set, lim Limits) ([]Set, error) {
 	if op == OpR {
 		// Edge constraint is universal: the closed sets of the Galois map
 		// K(B) = { c : ∀ b ∈ B, {b,c} ∈ E } form the seed family. The image
 		// of K is exactly the intersection closure of the compatibility
 		// rows.
-		rows := make([]Set, base.NumOut())
-		for b := 0; b < base.NumOut(); b++ {
-			for c := 0; c < base.NumOut(); c++ {
-				if base.EdgeAllowed(b, c) {
-					rows[b] = rows[b].Add(c)
-				}
-			}
-		}
-		return IntersectionClosure(rows), nil
+		return IntersectionClosure(tab.edge), nil
 	}
 	// R̄: node constraint is universal. Seeds are the coordinate sets of
 	// maximal configurations {A1,...,Ad} with A1 × ... × Ad ⊆ N^d,
-	// enumerated by BFS expansion from the base configurations.
+	// enumerated by BFS expansion from the base configurations. Degrees
+	// run in ascending order so an exhausted budget always names the
+	// same degree.
 	seen := map[Set]bool{}
 	var seeds []Set
 	addSeed := func(s Set) {
@@ -224,8 +243,8 @@ func prunedSeeds(base *lcl.Problem, op Op, full Set, lim Limits) ([]Set, error) 
 			seeds = append(seeds, s)
 		}
 	}
-	for d, configs := range base.Node {
-		maxCfgs, err := maximalUniversalNodeConfigs(base, d, configs, lim)
+	for _, d := range tab.degrees {
+		maxCfgs, err := maximalUniversalNodeConfigs(tab.node[d], full, lim)
 		if err != nil {
 			return nil, err
 		}
@@ -241,29 +260,42 @@ func prunedSeeds(base *lcl.Problem, op Op, full Set, lim Limits) ([]Set, error) 
 // maximalUniversalNodeConfigs enumerates the maximal (componentwise, as
 // sorted multisets of sets) configurations [A1..Ad] with every selection in
 // N^d, starting from the singleton configurations induced by N^d itself.
-func maximalUniversalNodeConfigs(base *lcl.Problem, d int, configs []lcl.Multiset, lim Limits) ([][]Set, error) {
-	type cfgKey string
-	key := func(cfg []Set) cfgKey {
-		sorted := append([]Set(nil), cfg...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		return cfgKey(fmt.Sprint(sorted))
-	}
-	seen := map[cfgKey]bool{}
+// The search is depth-first (a LIFO queue); lim.MaxExpandIter bounds the
+// configurations it pops.
+func maximalUniversalNodeConfigs(n *nodeTable, full Set, lim Limits) ([][]Set, error) {
+	d := n.d
+	seen := map[string]struct{}{}
 	var queue [][]Set
+	var store []Set // chunk the queued configurations are copied into
+	sorted := make([]Set, d)
+	key := make([]byte, 0, 8*d)
+	// push queues a copy of cfg unless an equal configuration, as a sorted
+	// multiset of sets, was queued before.
 	push := func(cfg []Set) {
-		k := key(cfg)
-		if !seen[k] {
-			seen[k] = true
-			queue = append(queue, cfg)
+		copy(sorted, cfg)
+		slices.Sort(sorted)
+		key = key[:0]
+		for _, s := range sorted {
+			key = binary.LittleEndian.AppendUint64(key, uint64(s))
 		}
+		if _, dup := seen[string(key)]; dup {
+			return
+		}
+		seen[string(key)] = struct{}{}
+		if cap(store)-len(store) < d {
+			store = make([]Set, 0, max(2*cap(store), 16*d))
+		}
+		store = append(store, cfg...)
+		queue = append(queue, store[len(store)-d:len(store):len(store)])
 	}
-	for _, m := range configs {
-		cfg := make([]Set, d)
+	next := make([]Set, d)
+	for _, m := range n.configs {
 		for i, a := range m {
-			cfg[i] = SetOf(a)
+			next[i] = SetOf(a)
 		}
-		push(cfg)
+		push(next)
 	}
+	sc := newSelScratch(d)
 	var maximal [][]Set
 	iter := 0
 	for len(queue) > 0 {
@@ -275,16 +307,15 @@ func maximalUniversalNodeConfigs(base *lcl.Problem, d int, configs []lcl.Multise
 		queue = queue[:len(queue)-1]
 		expanded := false
 		for i := range cfg {
-			for x := 0; x < base.NumOut(); x++ {
-				if cfg[i].Has(x) {
-					continue
-				}
-				next := append([]Set(nil), cfg...)
-				next[i] = next[i].Add(x)
-				if universalNode(base, d, next) {
-					expanded = true
-					push(next)
-				}
+			// cfg is universal, so adding x at coordinate i keeps it
+			// universal iff x completes every selection of the other
+			// coordinates.
+			grow := n.meet(sc, sc.split(cfg, i), full&^cfg[i], 0, sc.pick[:0])
+			for x := uint64(grow); x != 0; x &= x - 1 {
+				expanded = true
+				copy(next, cfg)
+				next[i] = cfg[i].Add(bits.TrailingZeros64(x))
+				push(next)
 			}
 		}
 		if !expanded {
@@ -294,143 +325,16 @@ func maximalUniversalNodeConfigs(base *lcl.Problem, d int, configs []lcl.Multise
 	return maximal, nil
 }
 
-// edgeRowsCache mirrors node2Cache for the edge constraint:
-// row[a] = { b : {a,b} ∈ E }. Both caches are keyed by problem pointer and
-// only grow by one entry per constructed problem; the pipeline is
-// single-threaded by design (document before sharing Steps across
-// goroutines).
-var edgeRowsCache = map[*lcl.Problem][]Set{}
-
-func edgeRows(base *lcl.Problem) []Set {
-	if rows, ok := edgeRowsCache[base]; ok {
-		return rows
-	}
-	L := base.NumOut()
-	rows := make([]Set, L)
-	for a := 0; a < L; a++ {
-		for b := 0; b < L; b++ {
-			if base.EdgeAllowed(a, b) {
-				rows[a] = rows[a].Add(b)
-			}
-		}
-	}
-	edgeRowsCache[base] = rows
-	return rows
-}
-
-// universalEdge: ∀ a ∈ A, b ∈ B: {a,b} ∈ E (Definition 3.1's edge
-// constraint for R).
-func universalEdge(base *lcl.Problem, a, b Set) bool {
-	rows := edgeRows(base)
-	for _, x := range a.Members() {
-		if !b.Subset(rows[x]) {
-			return false
-		}
-	}
-	return true
-}
-
-// existentialEdge: ∃ a ∈ A, b ∈ B: {a,b} ∈ E (Definition 3.2).
-func existentialEdge(base *lcl.Problem, a, b Set) bool {
-	rows := edgeRows(base)
-	for _, x := range a.Members() {
-		if !b.Inter(rows[x]).Empty() {
-			return true
-		}
-	}
-	return false
-}
-
-// node2Rows caches, per base problem, the degree-2 node constraint as
-// bitset rows: row[a] = { b : {a,b} ∈ N² }. Degree 2 dominates the
-// pipeline's work on paths/cycles, and the bitset form turns the
-// per-selection multiset allocation into word operations.
-var node2Cache = map[*lcl.Problem][]Set{}
-
-func node2Rows(base *lcl.Problem) []Set {
-	if rows, ok := node2Cache[base]; ok {
-		return rows
-	}
-	L := base.NumOut()
-	rows := make([]Set, L)
-	for a := 0; a < L; a++ {
-		for b := 0; b < L; b++ {
-			if base.NodeAllowed(lcl.NewMultiset(a, b)) {
-				rows[a] = rows[a].Add(b)
-			}
-		}
-	}
-	node2Cache[base] = rows
-	return rows
-}
-
-// existentialNode: ∃ selection (a1..ad) ∈ A1 × ... × Ad with {a1..ad} ∈ N^d
-// (Definition 3.1's node constraint for R).
-func existentialNode(base *lcl.Problem, d int, sets []Set) bool {
-	if d == 2 {
-		rows := node2Rows(base)
-		for _, a := range sets[0].Members() {
-			if !sets[1].Inter(rows[a]).Empty() {
-				return true
-			}
-		}
-		return false
-	}
-	pick := make([]int, d)
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == d {
-			return base.NodeAllowed(lcl.NewMultiset(append([]int(nil), pick...)...))
-		}
-		for _, a := range sets[i].Members() {
-			pick[i] = a
-			if rec(i + 1) {
-				return true
-			}
-		}
-		return false
-	}
-	return rec(0)
-}
-
-// universalNode: ∀ selections: {a1..ad} ∈ N^d (Definition 3.2's node
-// constraint for R̄).
-func universalNode(base *lcl.Problem, d int, sets []Set) bool {
-	if d == 2 {
-		rows := node2Rows(base)
-		for _, a := range sets[0].Members() {
-			if !sets[1].Subset(rows[a]) {
-				return false
-			}
-		}
-		return true
-	}
-	pick := make([]int, d)
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == d {
-			return base.NodeAllowed(lcl.NewMultiset(append([]int(nil), pick...)...))
-		}
-		for _, a := range sets[i].Members() {
-			pick[i] = a
-			if !rec(i + 1) {
-				return false
-			}
-		}
-		return true
-	}
-	return rec(0)
-}
-
 // setName renders a new label's meaning with base label names.
 func setName(s Set, base *lcl.Problem) string {
-	ms := s.Members()
-	str := "["
-	for i, m := range ms {
-		if i > 0 {
-			str += " "
+	var b strings.Builder
+	b.WriteByte('[')
+	for x := uint64(s); x != 0; x &= x - 1 {
+		if x != uint64(s) {
+			b.WriteByte(' ')
 		}
-		str += base.OutNames[m]
+		b.WriteString(base.OutNames[bits.TrailingZeros64(x)])
 	}
-	return str + "]"
+	b.WriteByte(']')
+	return b.String()
 }

@@ -15,6 +15,8 @@ type Sequence struct {
 	Steps []*Step // alternating OpR, OpRBar, OpR, ...
 	Mode  Mode
 	Lim   Limits
+
+	baseTab *table // Base's constraint table, compiled on first use
 }
 
 // NewSequence starts a sequence at base.
@@ -33,17 +35,38 @@ func (s *Sequence) ProblemAt(t int) *lcl.Problem {
 	return s.Steps[2*t-1].Prob
 }
 
+// baseTable returns Base's constraint table, compiling it on first use.
+func (s *Sequence) baseTable() (*table, error) {
+	if s.baseTab == nil {
+		tab, err := compile(s.Base)
+		if err != nil {
+			return nil, err
+		}
+		s.baseTab = tab
+	}
+	return s.baseTab, nil
+}
+
 // Extend applies f = R̄∘R once more.
 func (s *Sequence) Extend() error {
-	cur := s.Base
+	var cur *lcl.Problem
+	var tab *table
+	var err error
 	if len(s.Steps) > 0 {
-		cur = s.Steps[len(s.Steps)-1].Prob
+		last := s.Steps[len(s.Steps)-1]
+		cur, tab = last.Prob, last.tab
+	} else {
+		cur = s.Base
+		tab, err = s.baseTable()
 	}
-	r, err := Apply(cur, OpR, s.Mode, s.Lim)
+	var r *Step
+	if err == nil {
+		r, err = apply(cur, tab, OpR, s.Mode, s.Lim)
+	}
 	if err != nil {
 		return fmt.Errorf("re: extending with R at level %d: %w", s.Levels(), err)
 	}
-	rr, err := Apply(r.Prob, OpRBar, s.Mode, s.Lim)
+	rr, err := apply(r.Prob, r.tab, OpRBar, s.Mode, s.Lim)
 	if err != nil {
 		return fmt.Errorf("re: extending with R̄ at level %d: %w", s.Levels(), err)
 	}
@@ -104,8 +127,13 @@ type GapResult struct {
 // constant-round algorithm from the 0-round witness.
 func RunGapPipeline(base *lcl.Problem, degrees []int, mode Mode, lim Limits, maxLevels int) (*GapResult, error) {
 	seq := NewSequence(base, mode, lim)
-	canon := []string{Canonical(base)}
-	if w, ok := ZeroRoundSolvable(base, degrees); ok {
+	tab, err := seq.baseTable()
+	if err != nil {
+		return &GapResult{Verdict: VerdictInconclusive, Seq: seq, Reason: err.Error()}, nil
+	}
+	canon := []string{canonical(base, tab)}
+	tabs := []*table{tab}
+	if w, ok := zeroRound(base, tab, degrees); ok {
 		return &GapResult{Verdict: VerdictConstant, Level: 0, Witness: w, Seq: seq}, nil
 	}
 	for t := 1; t <= maxLevels; t++ {
@@ -117,16 +145,21 @@ func RunGapPipeline(base *lcl.Problem, degrees []int, mode Mode, lim Limits, max
 			return &GapResult{Verdict: VerdictInconclusive, Level: t - 1, Seq: seq, Reason: err.Error()}, nil
 		}
 		cur := seq.ProblemAt(t)
-		if w, ok := ZeroRoundSolvable(cur, degrees); ok {
+		curTab := seq.Steps[2*t-1].tab
+		if w, ok := zeroRound(cur, curTab, degrees); ok {
 			return &GapResult{Verdict: VerdictConstant, Level: t, Witness: w, Seq: seq}, nil
 		}
-		c := Canonical(cur)
+		c := canonical(cur, curTab)
 		for earlier, ec := range canon {
-			if ec == c && Isomorphic(seq.ProblemAt(earlier), cur) {
+			if ec != c {
+				continue
+			}
+			if isomorphic(seq.ProblemAt(earlier), tabs[earlier], cur, curTab) {
 				return &GapResult{Verdict: VerdictCycle, Level: t, CycleWith: earlier, Seq: seq}, nil
 			}
 		}
 		canon = append(canon, c)
+		tabs = append(tabs, curTab)
 	}
 	return &GapResult{Verdict: VerdictInconclusive, Level: maxLevels, Seq: seq}, nil
 }

@@ -1,7 +1,8 @@
 package re
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/lcl"
@@ -29,32 +30,36 @@ type ZeroRound struct {
 	Prob    *lcl.Problem
 	Clique  []int // self-compatible output labels the algorithm draws from
 	Degrees []int
+
+	tab *table // Prob's constraint table
 }
 
 // ZeroRoundSolvable decides whether prob admits a deterministic 0-round
 // algorithm on forests whose node degrees range over degrees, and returns
-// a witness if so.
+// a witness if so. Problems over more than MaxBaseLabels output labels
+// are reported not 0-round solvable, the safe direction.
 func ZeroRoundSolvable(prob *lcl.Problem, degrees []int) (*ZeroRound, bool) {
-	var selfOK []int
-	for o := 0; o < prob.NumOut(); o++ {
-		if prob.EdgeAllowed(o, o) {
-			selfOK = append(selfOK, o)
-		}
+	tab, err := compile(prob)
+	if err != nil {
+		return nil, false
 	}
-	if len(selfOK) == 0 {
+	return zeroRound(prob, tab, degrees)
+}
+
+// zeroRound is ZeroRoundSolvable on prob's compiled table.
+func zeroRound(prob *lcl.Problem, tab *table, degrees []int) (*ZeroRound, bool) {
+	if tab.self.Empty() {
 		return nil, false
 	}
 	var witness *ZeroRound
 	tested := 0
-	maximalCliques(prob, selfOK, func(clique []int) bool {
+	tab.maximalCliques(0, tab.self, 0, func(clique Set) bool {
 		tested++
 		if tested > maxCliquesTested {
 			return false // give up: report not-0-round (the safe direction)
 		}
-		if cliqueSupportsAllTypes(prob, clique, degrees) {
-			c := append([]int(nil), clique...)
-			sort.Ints(c)
-			witness = &ZeroRound{Prob: prob, Clique: c, Degrees: degrees}
+		if tab.cliqueSupportsAllTypes(clique, degrees) {
+			witness = &ZeroRound{Prob: prob, Clique: clique.Members(), Degrees: degrees, tab: tab}
 			return false
 		}
 		return true
@@ -68,67 +73,42 @@ func ZeroRoundSolvable(prob *lcl.Problem, degrees []int) (*ZeroRound, bool) {
 // the pipeline inconclusive, never unsound.
 const maxCliquesTested = 100_000
 
-// maximalCliques enumerates maximal cliques of the edge-compatibility
-// graph restricted to self-compatible labels (Bron–Kerbosch without
-// pivoting; alphabets are small), invoking fn for each; enumeration stops
-// when fn returns false.
-func maximalCliques(prob *lcl.Problem, verts []int, fn func([]int) bool) {
-	adj := func(a, b int) bool { return prob.EdgeAllowed(a, b) }
-	stopped := false
-	var bk func(r, p, x []int)
-	bk = func(r, p, x []int) {
-		if stopped {
-			return
-		}
-		if len(p) == 0 && len(x) == 0 {
-			if !fn(r) {
-				stopped = true
-			}
-			return
-		}
-		for i := 0; i < len(p) && !stopped; i++ {
-			v := p[i]
-			var p2, x2 []int
-			for _, u := range p {
-				if u != v && adj(u, v) {
-					p2 = append(p2, u)
-				}
-			}
-			for _, u := range x {
-				if adj(u, v) {
-					x2 = append(x2, u)
-				}
-			}
-			rv := append(append([]int(nil), r...), v)
-			bk(rv, p2, x2)
-			p = append(p[:i], p[i+1:]...)
-			i--
-			x = append(x, v)
-		}
+// maximalCliques enumerates the maximal cliques of the edge-compatibility
+// graph that extend r by vertices of p and avoid x (Bron–Kerbosch without
+// pivoting; alphabets are small), in ascending vertex order, invoking fn
+// for each. It reports false once fn has returned false, which stops the
+// enumeration.
+func (t *table) maximalCliques(r, p, x Set, fn func(Set) bool) bool {
+	if p.Empty() && x.Empty() {
+		return fn(r)
 	}
-	bk(nil, append([]int(nil), verts...), nil)
+	for p != 0 {
+		v := bits.TrailingZeros64(uint64(p))
+		adj := t.edge[v]
+		if !t.maximalCliques(r.Add(v), p&adj&^SetOf(v), x&adj, fn) {
+			return false
+		}
+		p &^= SetOf(v)
+		x = x.Add(v)
+	}
+	return true
 }
 
 // cliqueSupportsAllTypes checks condition 1 for every degree and every
 // input multiset (an ordered tuple has a valid assignment iff its multiset
 // does, since g binds outputs to inputs pointwise and node constraints are
 // multiset-based).
-func cliqueSupportsAllTypes(prob *lcl.Problem, clique []int, degrees []int) bool {
-	inC := make([]bool, prob.NumOut())
-	for _, o := range clique {
-		inC[o] = true
-	}
+func (t *table) cliqueSupportsAllTypes(clique Set, degrees []int) bool {
 	for _, d := range degrees {
-		if len(prob.Node[d]) == 0 {
+		n := t.node[d]
+		if n == nil || len(n.configs) == 0 {
 			return false
 		}
 		ok := true
-		multisetsOf(prob.NumIn(), d, func(inputs idMultiset) {
-			if !ok {
-				return
-			}
-			if _, found := assignOutputs(prob, inC, inputs); !found {
-				ok = false
+		out, key := make([]int, d), make([]byte, d)
+		multisetsOf(len(t.g), d, func(inputs idMultiset) {
+			if ok {
+				ok = t.assignOutputs(n, clique, inputs, out, 0, key)
 			}
 		})
 		if !ok {
@@ -140,30 +120,39 @@ func cliqueSupportsAllTypes(prob *lcl.Problem, clique []int, degrees []int) bool
 
 // assignOutputs finds the lexicographically first output tuple for the
 // given ordered inputs with outputs drawn from the clique, satisfying g
-// pointwise and the node constraint on the final multiset.
-func assignOutputs(prob *lcl.Problem, inClique []bool, inputs []int) ([]int, bool) {
+// pointwise and the node constraint on the final multiset. It fills
+// out[i:], given out[:i]; key is scratch of length len(inputs).
+func (t *table) assignOutputs(n *nodeTable, clique Set, inputs, out []int, i int, key []byte) bool {
 	d := len(inputs)
-	out := make([]int, d)
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == d {
-			return prob.NodeAllowed(lcl.NewMultiset(append([]int(nil), out...)...))
-		}
-		for o := 0; o < prob.NumOut(); o++ {
-			if !inClique[o] || !prob.GAllowed(inputs[i], o) {
-				continue
-			}
-			out[i] = o
-			if rec(i + 1) {
-				return true
-			}
-		}
+	if d == 0 {
+		return len(n.configs) > 0
+	}
+	in := inputs[i]
+	if in < 0 || in >= len(t.g) {
 		return false
 	}
-	if rec(0) {
-		return out, true
+	allowed := clique & t.g[in]
+	if i == d-1 {
+		// The last output must complete the others to a configuration in
+		// Nᵈ; the smallest such label is the lexicographically first.
+		for k, o := range out[:i] {
+			key[k] = byte(o)
+		}
+		slices.Sort(key[:i])
+		allowed &= n.complete(key[:i])
+		if allowed.Empty() {
+			return false
+		}
+		out[i] = bits.TrailingZeros64(uint64(allowed))
+		return true
 	}
-	return nil, false
+	for x := uint64(allowed); x != 0; x &= x - 1 {
+		out[i] = bits.TrailingZeros64(x)
+		if t.assignOutputs(n, clique, inputs, out, i+1, key) {
+			return true
+		}
+	}
+	return false
 }
 
 // Outputs returns the 0-round algorithm's output tuple for a node with the
@@ -171,11 +160,15 @@ func assignOutputs(prob *lcl.Problem, inClique []bool, inputs []int) ([]int, boo
 // deterministic in the inputs only — the defining property of A_det in
 // Theorem 3.10's proof.
 func (z *ZeroRound) Outputs(inputs []int) ([]int, bool) {
-	inC := make([]bool, z.Prob.NumOut())
-	for _, o := range z.Clique {
-		inC[o] = true
+	n := z.tab.node[len(inputs)]
+	if n == nil {
+		return nil, false
 	}
-	return assignOutputs(z.Prob, inC, inputs)
+	out := make([]int, len(inputs))
+	if !z.tab.assignOutputs(n, SetOf(z.Clique...), inputs, out, 0, make([]byte, len(inputs))) {
+		return nil, false
+	}
+	return out, true
 }
 
 // Run applies the 0-round algorithm to every node of g, producing a

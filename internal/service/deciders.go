@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"strconv"
 
 	"repro/internal/classify"
 	"repro/internal/core"
@@ -144,7 +145,8 @@ func (treesDecider) Normalize(req *decide.Request) error {
 }
 
 func (treesDecider) MemoDomain(req *decide.Request) string {
-	return fmt.Sprintf("classify/trees/%d", req.MaxLevels)
+	var buf [32]byte
+	return string(strconv.AppendInt(append(buf[:0], "classify/trees/"...), int64(req.MaxLevels), 10))
 }
 
 func (treesDecider) Fingerprint(req *decide.Request) (uint64, bool, error) {
