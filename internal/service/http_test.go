@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"testing"
 
 	"repro/internal/decide"
@@ -446,6 +447,84 @@ func TestHTTPRoundTripThroughCodec(t *testing.T) {
 		}
 		if wr.Fingerprint != fmt.Sprintf("%016x", want.Fingerprint) {
 			t.Fatalf("%s: fingerprint drift across the wire", p.Name)
+		}
+	}
+}
+
+// pinnedRows are the request bodies whose exact replies
+// TestHTTPRepliesPinned holds to testdata/http_pinned.json. They cover
+// decode failures and inputs that only the encoding/json decoder
+// accepts (escaped names, case-variant keys, trailing bytes).
+func pinnedRows() []struct{ route, name, body string } {
+	const good = `{"name":"2col","in_alphabet":["·"],"out_alphabet":["A","B"],` +
+		`"node_constraints":{"2":["A A","B B"]},"edge_constraints":["A B"],"g":{"·":["A","B"]}}`
+	items := []struct{ name, body string }{
+		{"malformed", `{"mode":"cycles","problem":{"name":`},
+		{"unknown-label", `{"mode":"cycles","problem":{"name":"u","in_alphabet":["·"],"out_alphabet":["A","B"],` +
+			`"node_constraints":{"2":["A Z"]},"edge_constraints":["A B"],"g":{"·":["A","B"]}}}`},
+		{"wrong-size", `{"mode":"cycles","problem":{"name":"w","in_alphabet":["·"],"out_alphabet":["A","B"],` +
+			`"node_constraints":{"2":["A A A"]},"edge_constraints":["A B"],"g":{"·":["A","B"]}}}`},
+		{"missing-problem", `{"mode":"cycles"}`},
+		{"wrong-type", `{"mode":"cycles","max_levels":"3","problem":` + good + `}`},
+		{"escaped-label", `{"mode":"cycles","problem":{"name":"e\u0073c","in_alphabet":["\u00b7"],"out_alphabet":["\u0041","B"],` +
+			`"node_constraints":{"2":["A A","B B"]},"edge_constraints":["A B"],"g":{"·":["A","B"]}}}`},
+		{"case-variant-key", `{"Mode":"cycles","PROBLEM":{"Name":"cv","in_alphabet":["·"],"Out_Alphabet":["A","B"],` +
+			`"node_constraints":{"2":["A A","B B"]},"edge_constraints":["A B"],"G":{"·":["A","B"]}}}`},
+	}
+	var rows []struct{ route, name, body string }
+	for _, it := range items {
+		rows = append(rows,
+			struct{ route, name, body string }{"/v1/classify", it.name, it.body},
+			struct{ route, name, body string }{"/v1/classify/batch", it.name, `{"requests":[` + it.body + `]}`})
+	}
+	ok := `{"mode":"cycles","problem":` + good + `}`
+	return append(rows,
+		struct{ route, name, body string }{"/v1/classify", "trailing-bytes", ok + ` x`},
+		struct{ route, name, body string }{"/v1/classify/batch", "trailing-bytes", `{"requests":[` + ok + `]} x`},
+		struct{ route, name, body string }{"/v1/classify/batch", "one-bad-item", `{"requests":[` + ok + `,` + items[1].body + `]}`},
+	)
+}
+
+// pinnedReply is one recorded reply of testdata/http_pinned.json.
+type pinnedReply struct {
+	Route  string `json:"route"`
+	Name   string `json:"name"`
+	Status int    `json:"status"`
+	Body   string `json:"body"`
+}
+
+// servePinned posts one pinned row to a fresh engine, so cache flags
+// in the reply do not depend on row order.
+func servePinned(route, body string) pinnedReply {
+	e := New(Config{Workers: 1})
+	defer e.Close()
+	rec := httptest.NewRecorder()
+	NewHandler(e).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, bytes.NewReader([]byte(body))))
+	return pinnedReply{Route: route, Status: rec.Code, Body: rec.Body.String()}
+}
+
+// TestHTTPRepliesPinned holds the status and exact body of every pinned
+// row on both classify routes to the file recorded before the one-pass
+// request decoder existed: error bodies come from the encoding/json
+// path, and inputs the fast path declines still succeed.
+func TestHTTPRepliesPinned(t *testing.T) {
+	raw, err := os.ReadFile("testdata/http_pinned.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []pinnedReply
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	rows := pinnedRows()
+	if len(want) != len(rows) {
+		t.Fatalf("pinned file has %d rows, the table %d", len(want), len(rows))
+	}
+	for i, row := range rows {
+		got := servePinned(row.route, row.body)
+		got.Name = row.name
+		if got != want[i] {
+			t.Errorf("%s %s:\n got  %d %q\n want %d %q", row.route, row.name, got.Status, got.Body, want[i].Status, want[i].Body)
 		}
 	}
 }
