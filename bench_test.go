@@ -11,9 +11,13 @@
 package repro
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -916,5 +920,78 @@ func BenchmarkMISDetVsLuby(b *testing.B) {
 			}
 			b.ReportMetric(float64(rounds), "rounds")
 		})
+	}
+}
+
+// httpDiscard is a reusable ResponseWriter that keeps the status and
+// the last body written.
+type httpDiscard struct {
+	header http.Header
+	status int
+	body   []byte
+}
+
+func (w *httpDiscard) Header() http.Header    { return w.header }
+func (w *httpDiscard) WriteHeader(status int) { w.status = status }
+func (w *httpDiscard) Write(p []byte) (int, error) {
+	w.body = append(w.body[:0], p...)
+	return len(p), nil
+}
+
+// sealedHitBody returns a /v1/classify body for a k=3 cycle mask
+// problem and an engine whose sealed table holds the k=3 cycle census,
+// so the request is a sealed hit.
+func sealedHitBody(tb testing.TB) ([]byte, *service.Engine) {
+	tb.Helper()
+	sealed, err := service.BuildSealed(service.SealConfig{CycleKs: []int{3}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	buf, err := store.EncodeSealed(sealed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tbl, err := store.OpenSealed(buf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	raw, err := json.Marshal(enumerate.FromMasks(3, 0b101101, 0b011010))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	body, err := json.Marshal(map[string]any{"mode": service.ModeCycles, "problem": json.RawMessage(raw)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body, service.New(service.Config{Workers: 1, Sealed: tbl})
+}
+
+// TestClassifyHTTPAllocs is the allocation budget for the whole
+// instrumented /v1/classify sealed-hit path: middleware, body read,
+// request decode, sealed probe and response encode for a k=3 cycle
+// problem. It took 113 allocations before the one-pass request decoder.
+func TestClassifyHTTPAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race, so pooled paths have no stable allocation count")
+	}
+	body, e := sealedHitBody(t)
+	defer e.Close()
+	h := service.NewHandler(e)
+	rd := bytes.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, "/v1/classify", rd)
+	w := &httpDiscard{header: http.Header{}}
+	serve := func() {
+		rd.Reset(body)
+		clear(w.header)
+		w.status = 0
+		h.ServeHTTP(w, req)
+	}
+	serve()
+	if w.status != http.StatusOK || !bytes.Contains(w.body, []byte(`"sealed":true`)) {
+		t.Fatalf("status %d, body %s: want a sealed hit", w.status, w.body)
+	}
+	allocs := testing.AllocsPerRun(200, serve)
+	if allocs > 35 {
+		t.Errorf("sealed-hit /v1/classify: %v allocs/op, want <= 35", allocs)
 	}
 }

@@ -3,6 +3,8 @@ package lcl
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -53,8 +55,21 @@ func (p *Problem) MarshalJSON() ([]byte, error) {
 	return json.MarshalIndent(jp, "", "  ")
 }
 
-// UnmarshalJSON parses the symbolic form.
+// UnmarshalJSON parses the symbolic form: in one pass when the input
+// has the plain shape (see ParsePlain), otherwise with encoding/json.
 func (p *Problem) UnmarshalJSON(data []byte) error {
+	if parsePlain(data, p) {
+		return nil
+	}
+	return p.unmarshalReference(data)
+}
+
+// unmarshalReference is the encoding/json decoder of the symbolic form:
+// the path for every input ParsePlain declines, the source of every
+// decode error, and the oracle the fast path is tested against. It
+// visits degree keys and g keys in sorted order, so that of several
+// errors it always reports the same one.
+func (p *Problem) unmarshalReference(data []byte) error {
 	var jp jsonProblem
 	if err := json.Unmarshal(data, &jp); err != nil {
 		return err
@@ -73,7 +88,8 @@ func (p *Problem) UnmarshalJSON(data []byte) error {
 		OutNames: jp.Out,
 		Node:     map[int][]Multiset{},
 	}
-	for dStr, list := range jp.Node {
+	for _, dStr := range slices.Sorted(maps.Keys(jp.Node)) {
+		list := jp.Node[dStr]
 		var d int
 		if _, err := fmt.Sscanf(dStr, "%d", &d); err != nil {
 			return fmt.Errorf("lcl: bad degree key %q", dStr)
@@ -100,7 +116,8 @@ func (p *Problem) UnmarshalJSON(data []byte) error {
 		p.Edge = append(p.Edge, m)
 	}
 	p.G = make([][]int, len(jp.In))
-	for inName, outs := range jp.G {
+	for _, inName := range slices.Sorted(maps.Keys(jp.G)) {
+		outs := jp.G[inName]
 		i, ok := inIdx[inName]
 		if !ok {
 			return fmt.Errorf("lcl: unknown input label %q in g", inName)

@@ -12,7 +12,6 @@ package obs
 
 import (
 	"context"
-	"fmt"
 	"math/rand/v2"
 	"sort"
 	"sync"
@@ -56,7 +55,20 @@ func NewTrace(id, method, route string) *Trace {
 
 // NewTraceID returns a fresh 16-hex-digit request ID.
 func NewTraceID() string {
-	return fmt.Sprintf("%016x", rand.Uint64())
+	return Hex16(rand.Uint64())
+}
+
+// Hex16 renders v as 16 lowercase, zero-padded hex digits, as
+// fmt.Sprintf("%016x", v) does, in one allocation: the form of trace
+// IDs and of fingerprints on the wire.
+func Hex16(v uint64) string {
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = digits[v&0xf]
+		v >>= 4
+	}
+	return string(b[:])
 }
 
 // ID returns the trace's request ID ("" for a nil trace).

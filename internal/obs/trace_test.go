@@ -318,3 +318,15 @@ func TestNormalizeRouteCardinality(t *testing.T) {
 		}
 	}
 }
+
+// TestHex16MatchesSprintf: Hex16 is %016x, leading zeros included.
+func TestHex16MatchesSprintf(t *testing.T) {
+	for _, v := range []uint64{0, 1, 0xf, 0x10, 1 << 60, 0x0123456789abcdef, 1<<64 - 1} {
+		if got, want := Hex16(v), fmt.Sprintf("%016x", v); got != want {
+			t.Errorf("Hex16(%#x) = %q, want %q", v, got, want)
+		}
+	}
+	if id := NewTraceID(); len(id) != 16 {
+		t.Errorf("trace ID %q is not 16 digits", id)
+	}
+}

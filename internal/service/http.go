@@ -7,6 +7,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/decide"
+	"repro/internal/jsonscan"
 	"repro/internal/lcl"
 	"repro/internal/obs"
 )
@@ -129,18 +131,150 @@ func requestName(req *Request) string {
 	}
 }
 
+// Request-body limits. A batch may carry maxBatch items of
+// maxBatchItemBody bytes each. A body buffer that grew past
+// maxPooledBody, one item's worth, is dropped rather than pooled: the
+// pool serves single requests, and batch-sized buffers kept in it would
+// pin their memory between requests.
+const (
+	maxClassifyBody  = 1 << 20
+	maxBatchItemBody = 16 << 10
+	maxPooledBody    = maxBatchItemBody
+)
+
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readBody reads r's body, at most limit bytes, into a pooled buffer,
+// which the caller hands back with putBody. A declared length within
+// the limit sizes the buffer up front, so a large body is read without
+// regrowing it step by step. When reading fails it writes the error
+// reply — 413 for an oversized body — and returns false.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) (*bytes.Buffer, bool) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	if n := r.ContentLength; n > 0 && n <= limit {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	if err == nil {
+		return buf, true
+	}
+	putBody(buf)
+	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds the limit of %d bytes", limit)
+	} else {
+		httpError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+	}
+	return nil, false
+}
+
+func putBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		buf.Reset()
+		bodyPool.Put(buf)
+	}
+}
+
+// decodeClassify decodes a /v1/classify body. A body in the plain shape
+// takes the one-pass scanner; every other body, and every body with an
+// error, is decoded by encoding/json, which writes every error message.
+func decodeClassify(body []byte) (Request, error) {
+	sc := jsonscan.Scanner{Data: body}
+	if req, ok := scanRequest(&sc, nil); ok && sc.End() {
+		return req, nil
+	}
+	var wr wireRequest
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&wr); err != nil {
+		return Request{}, fmt.Errorf("invalid JSON: %v", err)
+	}
+	return decodeRequest(&wr)
+}
+
+// scanRequest scans one request object in the plain shape: the keys
+// mode, problem, max_levels, max_radius and dims, each at most once,
+// with a problem lcl.ParsePlain accepts. Items of a batch whose problem
+// bytes are identical share one *lcl.Problem through problems, when it
+// is non-nil. It reports false on anything else. Nothing it returns
+// refers to the scanned bytes.
+func scanRequest(sc *jsonscan.Scanner, problems map[string]*lcl.Problem) (Request, bool) {
+	var req Request
+	var problem []byte
+	var seen [5]bool // mode, problem, max_levels, max_radius, dims
+	ok := sc.Object(func(ks, ke int) bool {
+		key, ok := -1, false
+		switch string(sc.Data[ks:ke]) {
+		case "mode":
+			key = 0
+			var a, b int
+			a, b, ok = sc.String()
+			req.Mode = modeName(sc.Data[a:b])
+		case "problem":
+			key = 1
+			if sc.Peek() == '{' {
+				start := sc.Pos
+				ok = sc.Skip()
+				problem = sc.Data[start:sc.Pos]
+			}
+		case "max_levels":
+			key = 2
+			req.MaxLevels, ok = sc.Uint()
+		case "max_radius":
+			key = 3
+			req.MaxRadius, ok = sc.Uint()
+		case "dims":
+			key = 4
+			req.Dims, ok = sc.Uint()
+		}
+		if key < 0 || seen[key] {
+			return false
+		}
+		seen[key] = true
+		return ok
+	})
+	if !ok || problem == nil {
+		return req, false
+	}
+	if req.Problem = problems[string(problem)]; req.Problem != nil {
+		return req, true
+	}
+	req.Problem, ok = lcl.ParsePlain(problem)
+	if ok && problems != nil {
+		problems[string(problem)] = req.Problem
+	}
+	return req, ok
+}
+
+// modeName returns the registered mode constant b spells, or a copy of
+// b, so that a decoded mode never refers to the body buffer.
+func modeName(b []byte) string {
+	switch string(b) {
+	case ModeCycles:
+		return ModeCycles
+	case ModeTrees:
+		return ModeTrees
+	case ModePathsInputs:
+		return ModePathsInputs
+	case ModeSynthesize:
+		return ModeSynthesize
+	case ModeRooted:
+		return ModeRooted
+	case ModeGrid:
+		return ModeGrid
+	}
+	return string(b)
+}
+
 func (e *Engine) handleClassify(w http.ResponseWriter, r *http.Request) {
 	tr := obs.TraceFrom(r.Context())
 	var spanStart time.Time
 	if tr != nil {
 		spanStart = time.Now()
 	}
-	var wr wireRequest
-	if err := json.NewDecoder(r.Body).Decode(&wr); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+	body, ok := readBody(w, r, maxClassifyBody)
+	if !ok {
 		return
 	}
-	req, err := decodeRequest(&wr)
+	req, err := decodeClassify(body.Bytes())
+	putBody(body)
 	tr.Record("decode", spanStart)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
@@ -247,7 +381,7 @@ func (be *batchEncoder) writeResult(name string, resp *Response) error {
 	be.wr = wireResponse{
 		Problem:     name,
 		Mode:        resp.Mode,
-		Fingerprint: fmt.Sprintf("%016x", resp.Fingerprint),
+		Fingerprint: obs.Hex16(resp.Fingerprint),
 		CacheHit:    resp.CacheHit,
 		Coalesced:   resp.Coalesced,
 		Sealed:      resp.Sealed,
@@ -270,14 +404,81 @@ func (be *batchEncoder) writeError(name, mode string, err error) {
 }
 
 func (e *Engine) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var wb wireBatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&wb); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+	body, ok := readBody(w, r, int64(e.maxBatch)*maxBatchItemBody)
+	if !ok {
 		return
+	}
+	reqs, decodeErrs, ok := e.decodeBatch(w, body.Bytes())
+	putBody(body)
+	if !ok {
+		return
+	}
+	failed := func(i int) bool { return decodeErrs != nil && decodeErrs[i] != nil }
+	valid := reqs
+	if decodeErrs != nil {
+		valid = make([]Request, 0, len(reqs))
+		for i := range reqs {
+			if !failed(i) {
+				valid = append(valid, reqs[i])
+			}
+		}
+	}
+	b := e.NewBatch()
+	defer b.Release()
+	items := b.Classify(r.Context(), valid)
+
+	// Stream the response through the pooled encoder, one line per
+	// item, with dedup groups sharing one detail marshal. Encode appends
+	// a newline after each value — legal JSON whitespace inside the
+	// array.
+	be := getEncoder()
+	defer be.release()
+	be.buf.WriteString(`{"results":[`)
+	next := 0
+	for i := range reqs {
+		if i > 0 {
+			be.buf.WriteByte(',')
+		}
+		if failed(i) {
+			be.writeError("", reqs[i].Mode, decodeErrs[i])
+			continue
+		}
+		item, req := items[next], &valid[next]
+		next++
+		if item.Err == nil {
+			// Positional: an encode failure stays in its slot as an
+			// explicit item error.
+			item.Err = be.writeResult(requestName(req), item.Response)
+		}
+		if item.Err != nil {
+			be.writeError(requestName(req), req.Mode, item.Err)
+		}
+	}
+	be.buf.WriteByte(']')
+	if d := b.Stats().Deduped; d > 0 {
+		fmt.Fprintf(&be.buf, `,"deduped":%d`, d)
+	}
+	be.buf.WriteString("}\n")
+	be.flush(w)
+}
+
+// decodeBatch decodes a /v1/classify/batch body into positional
+// requests and their decode errors, nil when every item decoded. A body
+// in the plain shape takes the one-pass scanner; every other body is
+// decoded by encoding/json. When the batch as a whole is rejected it
+// writes the error reply and returns false.
+func (e *Engine) decodeBatch(w http.ResponseWriter, body []byte) ([]Request, []error, bool) {
+	if reqs, ok := scanBatch(body, e.maxBatch); ok {
+		return reqs, nil, true
+	}
+	var wb wireBatchRequest
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&wb); err != nil {
+		httpError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+		return nil, nil, false
 	}
 	if len(wb.Requests) == 0 {
 		httpError(w, http.StatusBadRequest, "empty batch")
-		return
+		return nil, nil, false
 	}
 	if max := e.maxBatch; len(wb.Requests) > max {
 		writeJSON(w, http.StatusRequestEntityTooLarge, wireBatchLimitError{
@@ -285,7 +486,7 @@ func (e *Engine) handleBatch(w http.ResponseWriter, r *http.Request) {
 			MaxBatch: max,
 			Items:    len(wb.Requests),
 		})
-		return
+		return nil, nil, false
 	}
 	// Decode errors (including explicitly empty items — no problem
 	// payload at all) keep their slot so results stay positional.
@@ -315,51 +516,34 @@ func (e *Engine) handleBatch(w http.ResponseWriter, r *http.Request) {
 			problems[string(wr.Problem)] = reqs[i].Problem
 		}
 	}
-	valid := make([]Request, 0, len(reqs))
-	pos := make([]int, 0, len(reqs))
-	for i := range reqs {
-		if decodeErrs[i] == nil {
-			valid = append(valid, reqs[i])
-			pos = append(pos, i)
-		}
-	}
-	b := e.NewBatch()
-	defer b.Release()
-	items := b.Classify(r.Context(), valid)
+	return reqs, decodeErrs, true
+}
 
-	// Stream the response through the pooled encoder, one line per
-	// item, with dedup groups sharing one detail marshal. Encode appends
-	// a newline after each value — legal JSON whitespace inside the
-	// array.
-	be := getEncoder()
-	defer be.release()
-	be.buf.WriteString(`{"results":[`)
-	next := 0
-	for i := range reqs {
-		if i > 0 {
-			be.buf.WriteByte(',')
+// scanBatch scans a batch body in the plain shape: {"requests":[…]}
+// with every item as scanRequest accepts it, and items with identical
+// problem bytes sharing one problem, as on the encoding/json path. It
+// reports false on anything else, including an empty batch or one over
+// max items, whose replies the encoding/json path writes.
+func scanBatch(body []byte, max int) ([]Request, bool) {
+	sc := jsonscan.Scanner{Data: body}
+	var reqs []Request
+	problems := map[string]*lcl.Problem{}
+	seen := false
+	ok := sc.Object(func(ks, ke int) bool {
+		if seen || string(sc.Data[ks:ke]) != "requests" {
+			return false
 		}
-		if decodeErrs[i] != nil {
-			be.writeError("", wb.Requests[i].Mode, decodeErrs[i])
-			continue
-		}
-		item, req := items[next], &valid[next]
-		next++
-		if item.Err == nil {
-			// Positional: an encode failure stays in its slot as an
-			// explicit item error.
-			item.Err = be.writeResult(requestName(req), item.Response)
-		}
-		if item.Err != nil {
-			be.writeError(requestName(req), req.Mode, item.Err)
-		}
+		seen = true
+		return sc.Array(func() bool {
+			req, ok := scanRequest(&sc, problems)
+			reqs = append(reqs, req)
+			return ok && len(reqs) <= max
+		})
+	})
+	if !ok || !sc.End() || len(reqs) == 0 {
+		return nil, false
 	}
-	be.buf.WriteByte(']')
-	if d := b.Stats().Deduped; d > 0 {
-		fmt.Fprintf(&be.buf, `,"deduped":%d`, d)
-	}
-	be.buf.WriteString("}\n")
-	be.flush(w)
+	return reqs, true
 }
 
 // wireCensus summarizes a census for the wire: per-class counts rather

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/decide"
@@ -527,4 +529,92 @@ func TestHTTPRepliesPinned(t *testing.T) {
 			t.Errorf("%s %s:\n got  %d %q\n want %d %q", row.route, row.name, got.Status, got.Body, want[i].Status, want[i].Body)
 		}
 	}
+}
+
+// TestHTTPBodyLimits: a body one byte over its route's limit (1 MiB for
+// /v1/classify, MaxBatch × 16 KiB for /v1/classify/batch) gets 413 with
+// a JSON error, and a body exactly at the limit is served.
+func TestHTTPBodyLimits(t *testing.T) {
+	const item = `{"mode":"cycles","problem":{"name":"2col","in_alphabet":["·"],"out_alphabet":["A","B"],` +
+		`"node_constraints":{"2":["A A","B B"]},"edge_constraints":["A B"],"g":{"·":["A","B"]}}}`
+	e := New(Config{Workers: 1, MaxBatch: 2})
+	defer e.Close()
+	h := NewHandler(e)
+	for _, tc := range []struct {
+		route, prefix, suffix string
+		limit                 int
+	}{
+		{"/v1/classify", item[:len(item)-1], "}", maxClassifyBody},
+		{"/v1/classify/batch", `{"requests":[` + item, `]}`, 2 * maxBatchItemBody},
+	} {
+		for _, size := range []int{tc.limit, tc.limit + 1} {
+			// JSON whitespace pads the body to size bytes.
+			pad := strings.Repeat(" ", size-len(tc.prefix)-len(tc.suffix))
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.route, strings.NewReader(tc.prefix+pad+tc.suffix)))
+			if size == tc.limit {
+				if rec.Code != http.StatusOK {
+					t.Errorf("%s at the limit: status %d, body %s", tc.route, rec.Code, rec.Body)
+				}
+				continue
+			}
+			var reply map[string]string
+			if rec.Code != http.StatusRequestEntityTooLarge || json.Unmarshal(rec.Body.Bytes(), &reply) != nil || reply["error"] == "" {
+				t.Errorf("%s over the limit: status %d, body %s", tc.route, rec.Code, rec.Body)
+			}
+		}
+	}
+}
+
+// TestHTTPConcurrentBodies serves warm requests on both classify routes
+// from several goroutines at once: replies must match the sequential
+// ones byte for byte, so nothing decoded from one request's pooled body
+// buffer shows through in another's reply.
+func TestHTTPConcurrentBodies(t *testing.T) {
+	e := New(Config{Workers: 2})
+	defer e.Close()
+	h := NewHandler(e)
+	serve := func(route string, body []byte) string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, bytes.NewReader(body)))
+		return fmt.Sprintf("%d %s", rec.Code, rec.Body)
+	}
+	var bodies [][]byte
+	for _, p := range append(problems.All(2), problems.All(3)...) {
+		raw, err := json.Marshal(classifyBody(t, ModeCycles, p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, raw)
+	}
+	batch := append([]byte(`{"requests":[`), bytes.Join(bodies, []byte(","))...)
+	batch = append(batch, "]}"...)
+	// The second sequential pass is the reference: every item is warm.
+	want := map[string]string{}
+	for pass := 0; pass < 2; pass++ {
+		for _, b := range bodies {
+			want[string(b)] = serve("/v1/classify", b)
+		}
+		want[string(batch)] = serve("/v1/classify/batch", batch)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				for _, b := range bodies {
+					if got := serve("/v1/classify", b); got != want[string(b)] {
+						t.Errorf("concurrent reply %s, sequential %s", got, want[string(b)])
+						return
+					}
+				}
+				if got := serve("/v1/classify/batch", batch); got != want[string(batch)] {
+					t.Errorf("concurrent batch reply differs:\n%s\n%s", got, want[string(batch)])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

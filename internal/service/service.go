@@ -146,8 +146,9 @@ type Config struct {
 	// slower.
 	Sealed *store.SealedTable
 	// MaxBatch bounds /v1/classify/batch item counts (<= 0 selects
-	// DefaultMaxBatch); the HTTP layer rejects larger batches with 413.
-	// It also bounds the pooled batch scratch arenas.
+	// DefaultMaxBatch); the HTTP layer rejects larger batches, and
+	// batch bodies over MaxBatch × 16 KiB, with 413. It also bounds the
+	// pooled batch scratch arenas.
 	MaxBatch int
 	// JobWorkers bounds concurrently running background jobs (<= 0
 	// selects 1; each job is internally parallel across the engine's
