@@ -9,14 +9,18 @@
 // between the quotes, as encoding/json would decode them.
 package jsonscan
 
-import "unicode/utf8"
+import (
+	"strconv"
+	"unicode/utf8"
+)
 
 // maxDepth bounds the nesting Skip accepts, and so its recursion; a
 // problem object nests three deep.
 const maxDepth = 8
 
-// maxDigits keeps every accepted integer below 1e18, inside int64.
-const maxDigits = 18
+// maxDigits keeps every accepted integer inside int: below 1e18 where
+// int has 64 bits, below 1e9 where it has 32.
+const maxDigits = 9 + 9*(strconv.IntSize/64)
 
 // Scanner reads plain JSON tokens from Data starting at Pos.
 type Scanner struct {
@@ -111,8 +115,8 @@ func (s *Scanner) Uint() (int, bool) {
 }
 
 // Uint parses t, all of it, as an unsigned decimal integer of at most
-// 18 digits with no leading zero: the integers every decoder reads
-// the same way.
+// maxDigits digits with no leading zero: the integers every decoder
+// reads the same way.
 func Uint(t []byte) (int, bool) {
 	if len(t) == 0 || len(t) > maxDigits || (t[0] == '0' && len(t) > 1) {
 		return 0, false

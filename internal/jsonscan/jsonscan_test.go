@@ -2,6 +2,7 @@ package jsonscan
 
 import (
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -17,7 +18,7 @@ func TestSkip(t *testing.T) {
 		{`""`, true},
 		{`"·"`, true},
 		{`0`, true},
-		{`123456789012345678`, true},
+		{strings.Repeat("9", maxDigits), true},
 		{` { "a" : [ "b" , 1 ] , "c" : { } } `, true},
 		{`[]`, true},
 		{strings.Repeat("[", maxDepth) + strings.Repeat("]", maxDepth), true},
@@ -33,7 +34,7 @@ func TestSkip(t *testing.T) {
 		{`1.5`, false},
 		{`1e3`, false},
 		{`01`, false},
-		{`1234567890123456789`, false},
+		{strings.Repeat("9", maxDigits+1), false},
 		{`{"a":1,}`, false},
 		{`[1,]`, false},
 		{`{"a" 1}`, false},
@@ -62,6 +63,39 @@ func TestString(t *testing.T) {
 		var want string
 		if err := json.Unmarshal([]byte(in), &want); err != nil || !ok || string(s.Data[a:b]) != want {
 			t.Errorf("String(%q) = %q, %v; encoding/json %q, %v", in, s.Data[a:b], ok, want, err)
+		}
+	}
+}
+
+// TestUint: every integer Uint accepts fits in int and reads as
+// encoding/json reads it, on 32-bit platforms too.
+func TestUint(t *testing.T) {
+	for _, tc := range []struct {
+		in string
+		ok bool
+	}{
+		{"0", true},
+		{"7", true},
+		{"10", true},
+		{strings.Repeat("9", maxDigits), true},
+		{"1" + strings.Repeat("0", maxDigits-1), true},
+		{"1" + strings.Repeat("0", maxDigits), false},
+		{"01", false},
+		{"", false},
+		{"-1", false},
+		{"1a", false},
+	} {
+		n, ok := Uint([]byte(tc.in))
+		if ok != tc.ok {
+			t.Errorf("Uint(%q) ok = %v, want %v", tc.in, ok, tc.ok)
+			continue
+		}
+		if !ok {
+			continue
+		}
+		var want int
+		if err := json.Unmarshal([]byte(tc.in), &want); err != nil || n != want || strconv.Itoa(n) != tc.in {
+			t.Errorf("Uint(%q) = %d; encoding/json %d, %v", tc.in, n, want, err)
 		}
 	}
 }

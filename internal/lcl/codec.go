@@ -3,8 +3,6 @@ package lcl
 import (
 	"encoding/json"
 	"fmt"
-	"maps"
-	"slices"
 	"sort"
 	"strings"
 )
@@ -88,7 +86,7 @@ func (p *Problem) unmarshalReference(data []byte) error {
 		OutNames: jp.Out,
 		Node:     map[int][]Multiset{},
 	}
-	for _, dStr := range slices.Sorted(maps.Keys(jp.Node)) {
+	for _, dStr := range sortedKeys(jp.Node) {
 		list := jp.Node[dStr]
 		var d int
 		if _, err := fmt.Sscanf(dStr, "%d", &d); err != nil {
@@ -116,7 +114,7 @@ func (p *Problem) unmarshalReference(data []byte) error {
 		p.Edge = append(p.Edge, m)
 	}
 	p.G = make([][]int, len(jp.In))
-	for _, inName := range slices.Sorted(maps.Keys(jp.G)) {
+	for _, inName := range sortedKeys(jp.G) {
 		outs := jp.G[inName]
 		i, ok := inIdx[inName]
 		if !ok {
@@ -132,6 +130,16 @@ func (p *Problem) unmarshalReference(data []byte) error {
 		sort.Ints(p.G[i])
 	}
 	return p.Validate()
+}
+
+// sortedKeys returns the keys of m in increasing order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 func parseMultiset(s string, idx map[string]int) (Multiset, error) {

@@ -22,15 +22,25 @@ const (
 
 var plainKeys = [numKeys]string{"name", "in_alphabet", "out_alphabet", "node_constraints", "edge_constraints", "g"}
 
+// maxPlainKeys bounds the size of each alphabet and the number of keys
+// of node_constraints and of g on the fast path. Labels are resolved by
+// a linear scan of their alphabet and keys are checked for duplicates
+// against the earlier ones, so the bound keeps the fast path linear in
+// the input. Larger problems, which round elimination cannot table
+// anyway (internal/re takes at most 63 labels), take the encoding/json
+// path.
+const maxPlainKeys = 64
+
 // ParsePlain decodes a problem written in the plain shape of the
 // symbolic JSON codec — the shape MarshalJSON writes, in any key order
 // and with any JSON whitespace — by scanning data directly, without
 // reflection. It reports false on anything outside that shape
 // (escapes, unknown, duplicate or case-variant keys, null, degree keys
-// that are not plain decimals, trailing bytes; see package jsonscan)
-// and on any syntax or semantic error; UnmarshalJSON then runs the
-// encoding/json decoder on the same bytes, which is the only path for
-// those inputs and the one that reports errors. The problem shares no
+// that are not plain decimals, trailing bytes; see package jsonscan),
+// on alphabets or key sets larger than maxPlainKeys, and on any syntax
+// or semantic error; UnmarshalJSON then runs the encoding/json decoder
+// on the same bytes, which is the only path for those inputs and the
+// one that reports errors. The problem shares no
 // memory with data: its names are substrings of one copy of it.
 func ParsePlain(data []byte) (*Problem, bool) {
 	p := new(Problem)
@@ -84,9 +94,9 @@ func (d *plainDecoder) scan() bool {
 			_, _, ok := sc.String()
 			return ok
 		case keyIn:
-			return d.countNames(&d.nIn)
+			return d.countNames(&d.nIn) && d.nIn <= maxPlainKeys
 		case keyOut:
-			return d.countNames(&d.nOut)
+			return d.countNames(&d.nOut) && d.nOut <= maxPlainKeys
 		case keyNode:
 			return d.scanNode()
 		case keyEdge:
@@ -119,15 +129,16 @@ func (d *plainDecoder) countConfig(size int) bool {
 	return ok && size <= (b-a+1)/2
 }
 
-// scanNode consumes node_constraints: distinct plain-decimal degree
-// keys, each listing configurations of that many labels.
+// scanNode consumes node_constraints: at most maxPlainKeys distinct
+// plain-decimal degree keys, each listing configurations of that many
+// labels.
 func (d *plainDecoder) scanNode() bool {
 	var buf [8]int
 	degrees := buf[:0]
 	sc := &d.sc
 	return sc.Object(func(ks, ke int) bool {
 		deg, ok := jsonscan.Uint(sc.Data[ks:ke])
-		if !ok {
+		if !ok || len(degrees) == maxPlainKeys {
 			return false
 		}
 		for _, seen := range degrees {
@@ -144,14 +155,17 @@ func (d *plainDecoder) scanNode() bool {
 	})
 }
 
-// scanG consumes g: distinct input-label keys, each listing output
-// labels.
+// scanG consumes g: at most maxPlainKeys distinct input-label keys,
+// each listing output labels.
 func (d *plainDecoder) scanG() bool {
 	var buf [8]string
 	keys := buf[:0]
 	sc := &d.sc
 	return sc.Object(func(ks, ke int) bool {
 		key := d.s[ks:ke]
+		if len(keys) == maxPlainKeys {
+			return false
+		}
 		for _, seen := range keys {
 			if seen == key {
 				return false

@@ -1,26 +1,18 @@
 package lcl_test
 
 import (
+	"bytes"
 	"encoding/json"
-	"maps"
-	"slices"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/lcl"
+	"repro/internal/lcl/lcltest"
 	"repro/internal/problems"
 )
-
-// sameProblem compares two problem definitions, treating nil and empty
-// slices as equal.
-func sameProblem(a, b *lcl.Problem) bool {
-	sameSets := func(x, y []lcl.Multiset) bool {
-		return slices.EqualFunc(x, y, func(m, n lcl.Multiset) bool { return slices.Equal(m, n) })
-	}
-	return a.Name == b.Name &&
-		slices.Equal(a.InNames, b.InNames) && slices.Equal(a.OutNames, b.OutNames) &&
-		maps.EqualFunc(a.Node, b.Node, sameSets) && sameSets(a.Edge, b.Edge) &&
-		slices.EqualFunc(a.G, b.G, func(x, y []int) bool { return slices.Equal(x, y) })
-}
 
 // batteryEncodings returns the codec encoding of every battery problem
 // at maximum degree 2 and 3.
@@ -66,7 +58,7 @@ func TestParsePlainAcceptsBattery(t *testing.T) {
 		if err := want.UnmarshalReference(data); err != nil {
 			t.Fatal(err)
 		}
-		if !sameProblem(got, &want) {
+		if !lcltest.SameProblem(got, &want) {
 			t.Fatalf("%s: fast path %+v, reference %+v", want.Name, got, &want)
 		}
 	}
@@ -103,33 +95,98 @@ func FuzzDecodeProblem(f *testing.F) {
 			if gotErr.Error() != wantErr.Error() {
 				t.Fatalf("error %q, reference %q", gotErr, wantErr)
 			}
-		case !sameProblem(&got, &want):
+		case !lcltest.SameProblem(&got, &want):
 			t.Fatalf("UnmarshalJSON %+v, reference %+v", &got, &want)
 		}
 	})
 }
 
-// BenchmarkUnmarshalJSON decodes a k=3 cycle problem with each decoder.
+// BenchmarkUnmarshalJSON decodes a k=3 cycle problem with each decoder,
+// as the codec writes it and with its input label escaped ("\u00b7"),
+// which the one-pass decoder declines.
 func BenchmarkUnmarshalJSON(b *testing.B) {
-	data, err := json.Marshal(problems.Coloring(3, 2))
+	plain, err := json.Marshal(problems.Coloring(3, 2))
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, dec := range []struct {
+	escaped := bytes.ReplaceAll(plain, []byte("·"), []byte(`\u00b7`))
+	if _, ok := lcl.ParsePlain(escaped); ok || bytes.Equal(plain, escaped) {
+		b.Fatal("the escaped encoding takes the fast path")
+	}
+	for _, input := range []struct {
 		name string
-		fn   func(*lcl.Problem, []byte) error
-	}{
-		{"one-pass", (*lcl.Problem).UnmarshalJSON},
-		{"reference", (*lcl.Problem).UnmarshalReference},
-	} {
-		b.Run(dec.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var p lcl.Problem
-				if err := dec.fn(&p, data); err != nil {
-					b.Fatal(err)
+		data []byte
+	}{{"plain", plain}, {"escaped", escaped}} {
+		for _, dec := range []struct {
+			name string
+			fn   func(*lcl.Problem, []byte) error
+		}{
+			{"one-pass", (*lcl.Problem).UnmarshalJSON},
+			{"reference", (*lcl.Problem).UnmarshalReference},
+		} {
+			b.Run(input.name+"/"+dec.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					var p lcl.Problem
+					if err := dec.fn(&p, input.data); err != nil {
+						b.Fatal(err)
+					}
 				}
+			})
+		}
+	}
+}
+
+// largeAlphabets returns problems past the fast path's bounds: n output
+// labels with n configurations all naming the first one, n degree keys,
+// and n g keys over n input labels.
+func largeAlphabets(n int) map[string][]byte {
+	var labels, configs, degrees, g []string
+	for i := range n {
+		labels = append(labels, fmt.Sprintf("%q", fmt.Sprint("L", i)))
+		configs = append(configs, `"L0 L0"`)
+		degrees = append(degrees, fmt.Sprintf(`"%d":[]`, i+1))
+		g = append(g, fmt.Sprintf(`"L%d":["L0"]`, i))
+	}
+	list := func(xs []string) string { return strings.Join(xs, ",") }
+	return map[string][]byte{
+		"out_alphabet": []byte(`{"name":"big","in_alphabet":["·"],"out_alphabet":[` + list(labels) +
+			`],"node_constraints":{"2":[` + list(configs) + `]},"edge_constraints":[` + list(configs) + `],"g":{"·":["L0"]}}`),
+		"node_constraints": []byte(`{"name":"deg","in_alphabet":["·"],"out_alphabet":["L0"],"node_constraints":{` +
+			list(degrees) + `},"edge_constraints":["L0 L0"],"g":{"·":["L0"]}}`),
+		"g": []byte(`{"name":"g","in_alphabet":[` + list(labels) + `],"out_alphabet":["L0"],"node_constraints":{"2":["L0 L0"]},` +
+			`"edge_constraints":["L0 L0"],"g":{` + list(g) + `}}`),
+	}
+}
+
+// TestDecodeLargeAlphabets: the one-pass decoder declines problems past
+// its bounds, so decoding them stays linear — UnmarshalJSON costs about
+// what the encoding/json decoder alone does — and agrees with the
+// reference decoder.
+func TestDecodeLargeAlphabets(t *testing.T) {
+	for name, data := range largeAlphabets(20000) {
+		if _, ok := lcl.ParsePlain(data); ok {
+			t.Errorf("%s: fast path accepted %d bytes", name, len(data))
+		}
+		timed := func(fn func(*lcl.Problem, []byte) error) (lcl.Problem, error, time.Duration) {
+			best := time.Duration(math.MaxInt64)
+			var p lcl.Problem
+			var err error
+			for range 2 {
+				p = lcl.Problem{}
+				start := time.Now()
+				err = fn(&p, data)
+				best = min(best, time.Since(start))
 			}
-		})
+			return p, err, best
+		}
+		got, gotErr, gotTime := timed((*lcl.Problem).UnmarshalJSON)
+		want, wantErr, wantTime := timed((*lcl.Problem).UnmarshalReference)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || (gotErr == nil && !lcltest.SameProblem(&got, &want)) {
+			t.Errorf("%s: UnmarshalJSON error %v, reference error %v", name, gotErr, wantErr)
+		}
+		if gotTime > 4*wantTime+50*time.Millisecond {
+			t.Errorf("%s: UnmarshalJSON took %v, the reference decoder %v", name, gotTime, wantTime)
+		}
 	}
 }

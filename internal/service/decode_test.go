@@ -4,15 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"maps"
 	"reflect"
-	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/jsonscan"
-	"repro/internal/lcl"
+	"repro/internal/lcl/lcltest"
 	"repro/internal/problems"
 )
+
+// testModes are the mode names of the default registry.
+var testModes = DefaultRegistry().Names()
 
 // referenceDecode is the encoding/json decoding of a /v1/classify body.
 func referenceDecode(body []byte) (Request, error) {
@@ -21,21 +23,6 @@ func referenceDecode(body []byte) (Request, error) {
 		return Request{}, fmt.Errorf("invalid JSON: %v", err)
 	}
 	return decodeRequest(&wr)
-}
-
-// sameProblem compares two problem definitions, treating nil and empty
-// slices as equal.
-func sameProblem(a, b *lcl.Problem) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	sameSets := func(x, y []lcl.Multiset) bool {
-		return slices.EqualFunc(x, y, func(m, n lcl.Multiset) bool { return slices.Equal(m, n) })
-	}
-	return a.Name == b.Name &&
-		slices.Equal(a.InNames, b.InNames) && slices.Equal(a.OutNames, b.OutNames) &&
-		maps.EqualFunc(a.Node, b.Node, sameSets) && sameSets(a.Edge, b.Edge) &&
-		slices.EqualFunc(a.G, b.G, func(x, y []int) bool { return slices.Equal(x, y) })
 }
 
 // codecBodies returns classify bodies for the battery in every
@@ -71,7 +58,7 @@ func codecBodies(tb testing.TB) [][]byte {
 func TestScanRequestAcceptsCodecBodies(t *testing.T) {
 	for _, body := range codecBodies(t) {
 		sc := jsonscan.Scanner{Data: body}
-		got, ok := scanRequest(&sc, nil)
+		got, ok := scanRequest(&sc, testModes, nil)
 		if !ok || !sc.End() {
 			t.Fatalf("fast path declined %s", body)
 		}
@@ -85,9 +72,26 @@ func TestScanRequestAcceptsCodecBodies(t *testing.T) {
 	}
 }
 
+// TestInternMode: a registered mode is the registry's own string, and
+// any other mode is a copy that later writes to the body cannot change.
+func TestInternMode(t *testing.T) {
+	for _, m := range testModes {
+		b := []byte(m)
+		if got := internMode(b, testModes); got != m || unsafe.StringData(got) != unsafe.StringData(m) {
+			t.Errorf("internMode(%q) is not the registered name", m)
+		}
+	}
+	b := []byte("future-mode")
+	got := internMode(b, testModes)
+	b[0] = 'X'
+	if got != "future-mode" {
+		t.Errorf("internMode returned %q, which shares the input bytes", got)
+	}
+}
+
 func sameRequest(a, b *Request) bool {
 	return a.Mode == b.Mode && a.MaxLevels == b.MaxLevels && a.MaxRadius == b.MaxRadius &&
-		a.Dims == b.Dims && reflect.DeepEqual(a.Rooted, b.Rooted) && sameProblem(a.Problem, b.Problem)
+		a.Dims == b.Dims && reflect.DeepEqual(a.Rooted, b.Rooted) && lcltest.SameProblem(a.Problem, b.Problem)
 }
 
 // FuzzDecodeClassifyRequest: on any body, decodeClassify and the
@@ -114,7 +118,7 @@ func FuzzDecodeClassifyRequest(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		got, gotErr := decodeClassify(body)
+		got, gotErr := decodeClassify(body, testModes)
 		want, wantErr := referenceDecode(body)
 		switch {
 		case (gotErr == nil) != (wantErr == nil):
@@ -132,30 +136,42 @@ func FuzzDecodeClassifyRequest(f *testing.F) {
 var decodedRequest Request
 
 // BenchmarkDecodeClassifyRequest decodes a k=3 cycle classify body with
-// the one-pass decoder and with encoding/json.
+// the one-pass decoder and with encoding/json, as Go's encoder writes it
+// and with the problem's input label escaped ("\u00b7", as Python's
+// json.dumps writes it by default), which the one-pass decoder declines.
 func BenchmarkDecodeClassifyRequest(b *testing.B) {
 	raw, err := json.Marshal(problems.Coloring(3, 2))
 	if err != nil {
 		b.Fatal(err)
 	}
-	body, err := json.Marshal(map[string]any{"mode": ModeCycles, "problem": json.RawMessage(raw)})
+	plain, err := json.Marshal(map[string]any{"mode": ModeCycles, "problem": json.RawMessage(raw)})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, dec := range []struct {
+	escaped := bytes.ReplaceAll(plain, []byte("·"), []byte(`\u00b7`))
+	sc := jsonscan.Scanner{Data: escaped}
+	if _, ok := scanRequest(&sc, testModes, nil); ok || bytes.Equal(plain, escaped) {
+		b.Fatal("the escaped body takes the fast path")
+	}
+	for _, input := range []struct {
 		name string
-		fn   func([]byte) (Request, error)
-	}{
-		{"one-pass", decodeClassify},
-		{"reference", referenceDecode},
-	} {
-		b.Run(dec.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if decodedRequest, err = dec.fn(body); err != nil {
-					b.Fatal(err)
+		body []byte
+	}{{"plain", plain}, {"escaped", escaped}} {
+		for _, dec := range []struct {
+			name string
+			fn   func([]byte) (Request, error)
+		}{
+			{"one-pass", func(body []byte) (Request, error) { return decodeClassify(body, testModes) }},
+			{"reference", referenceDecode},
+		} {
+			b.Run(input.name+"/"+dec.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if decodedRequest, err = dec.fn(input.body); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

@@ -145,14 +145,15 @@ const (
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // readBody reads r's body, at most limit bytes, into a pooled buffer,
-// which the caller hands back with putBody. A declared length within
-// the limit sizes the buffer up front, so a large body is read without
-// regrowing it step by step. When reading fails it writes the error
-// reply — 413 for an oversized body — and returns false.
+// which the caller hands back with putBody. The declared length sizes
+// the buffer up front only up to maxPooledBody: beyond that the buffer
+// grows as bytes arrive, so a client that declares a large body and
+// sends little of it holds little memory. When reading fails it writes
+// the error reply — 413 for an oversized body — and returns false.
 func readBody(w http.ResponseWriter, r *http.Request, limit int64) (*bytes.Buffer, bool) {
 	buf := bodyPool.Get().(*bytes.Buffer)
-	if n := r.ContentLength; n > 0 && n <= limit {
-		buf.Grow(int(n) + bytes.MinRead)
+	if n := r.ContentLength; n > 0 {
+		buf.Grow(int(min(n, limit, maxPooledBody)) + bytes.MinRead)
 	}
 	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
 	if err == nil {
@@ -174,12 +175,13 @@ func putBody(buf *bytes.Buffer) {
 	}
 }
 
-// decodeClassify decodes a /v1/classify body. A body in the plain shape
-// takes the one-pass scanner; every other body, and every body with an
-// error, is decoded by encoding/json, which writes every error message.
-func decodeClassify(body []byte) (Request, error) {
+// decodeClassify decodes a /v1/classify body, interning its mode
+// against modes. A body in the plain shape takes the one-pass scanner;
+// every other body, and every body with an error, is decoded by
+// encoding/json, which writes every error message.
+func decodeClassify(body []byte, modes []string) (Request, error) {
 	sc := jsonscan.Scanner{Data: body}
-	if req, ok := scanRequest(&sc, nil); ok && sc.End() {
+	if req, ok := scanRequest(&sc, modes, nil); ok && sc.End() {
 		return req, nil
 	}
 	var wr wireRequest
@@ -191,11 +193,11 @@ func decodeClassify(body []byte) (Request, error) {
 
 // scanRequest scans one request object in the plain shape: the keys
 // mode, problem, max_levels, max_radius and dims, each at most once,
-// with a problem lcl.ParsePlain accepts. Items of a batch whose problem
-// bytes are identical share one *lcl.Problem through problems, when it
-// is non-nil. It reports false on anything else. Nothing it returns
-// refers to the scanned bytes.
-func scanRequest(sc *jsonscan.Scanner, problems map[string]*lcl.Problem) (Request, bool) {
+// with a problem lcl.ParsePlain accepts. The mode is interned against
+// modes. Items of a batch whose problem bytes are identical share one
+// *lcl.Problem through problems, when it is non-nil. It reports false
+// on anything else. Nothing it returns refers to the scanned bytes.
+func scanRequest(sc *jsonscan.Scanner, modes []string, problems map[string]*lcl.Problem) (Request, bool) {
 	var req Request
 	var problem []byte
 	var seen [5]bool // mode, problem, max_levels, max_radius, dims
@@ -206,7 +208,7 @@ func scanRequest(sc *jsonscan.Scanner, problems map[string]*lcl.Problem) (Reques
 			key = 0
 			var a, b int
 			a, b, ok = sc.String()
-			req.Mode = modeName(sc.Data[a:b])
+			req.Mode = internMode(sc.Data[a:b], modes)
 		case "problem":
 			key = 1
 			if sc.Peek() == '{' {
@@ -243,22 +245,14 @@ func scanRequest(sc *jsonscan.Scanner, problems map[string]*lcl.Problem) (Reques
 	return req, ok
 }
 
-// modeName returns the registered mode constant b spells, or a copy of
-// b, so that a decoded mode never refers to the body buffer.
-func modeName(b []byte) string {
-	switch string(b) {
-	case ModeCycles:
-		return ModeCycles
-	case ModeTrees:
-		return ModeTrees
-	case ModePathsInputs:
-		return ModePathsInputs
-	case ModeSynthesize:
-		return ModeSynthesize
-	case ModeRooted:
-		return ModeRooted
-	case ModeGrid:
-		return ModeGrid
+// internMode returns the name in modes that b spells, or a copy of b,
+// so that a decoded mode never refers to the body buffer and a
+// registered one costs no allocation.
+func internMode(b []byte, modes []string) string {
+	for _, m := range modes {
+		if string(b) == m {
+			return m
+		}
 	}
 	return string(b)
 }
@@ -273,7 +267,7 @@ func (e *Engine) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req, err := decodeClassify(body.Bytes())
+	req, err := decodeClassify(body.Bytes(), e.modes)
 	putBody(body)
 	tr.Record("decode", spanStart)
 	if err != nil {
@@ -468,7 +462,7 @@ func (e *Engine) handleBatch(w http.ResponseWriter, r *http.Request) {
 // decoded by encoding/json. When the batch as a whole is rejected it
 // writes the error reply and returns false.
 func (e *Engine) decodeBatch(w http.ResponseWriter, body []byte) ([]Request, []error, bool) {
-	if reqs, ok := scanBatch(body, e.maxBatch); ok {
+	if reqs, ok := scanBatch(body, e.maxBatch, e.modes); ok {
 		return reqs, nil, true
 	}
 	var wb wireBatchRequest
@@ -524,7 +518,7 @@ func (e *Engine) decodeBatch(w http.ResponseWriter, body []byte) ([]Request, []e
 // problem bytes sharing one problem, as on the encoding/json path. It
 // reports false on anything else, including an empty batch or one over
 // max items, whose replies the encoding/json path writes.
-func scanBatch(body []byte, max int) ([]Request, bool) {
+func scanBatch(body []byte, max int, modes []string) ([]Request, bool) {
 	sc := jsonscan.Scanner{Data: body}
 	var reqs []Request
 	problems := map[string]*lcl.Problem{}
@@ -535,7 +529,7 @@ func scanBatch(body []byte, max int) ([]Request, bool) {
 		}
 		seen = true
 		return sc.Array(func() bool {
-			req, ok := scanRequest(&sc, problems)
+			req, ok := scanRequest(&sc, modes, problems)
 			reqs = append(reqs, req)
 			return ok && len(reqs) <= max
 		})

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -564,6 +565,50 @@ func TestHTTPBodyLimits(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestHTTPDeclaredLengthNotTrusted sends the batch route a short body
+// that declares the route's whole limit, 64 MiB at the default MaxBatch:
+// serving it must allocate about what the short body needs, not what it
+// declares, so a client that stalls after its headers holds little
+// memory.
+func TestHTTPDeclaredLengthNotTrusted(t *testing.T) {
+	const item = `{"mode":"cycles","problem":{"name":"2col","in_alphabet":["·"],"out_alphabet":["A","B"],` +
+		`"node_constraints":{"2":["A A","B B"]},"edge_constraints":["A B"],"g":{"·":["A","B"]}}}`
+	const body = `{"requests":[` + item + `]}`
+	e := New(Config{Workers: 1})
+	defer e.Close()
+	h := NewHandler(e)
+	limit := int64(e.maxBatch) * maxBatchItemBody
+	serve := func() {
+		req := httptest.NewRequest(http.MethodPost, "/v1/classify/batch", strings.NewReader(body))
+		req.ContentLength = limit
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d, body %s", rec.Code, rec.Body)
+		}
+	}
+	serve() // warm the engine and the pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	serve()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("a %d-byte body declaring %d bytes allocated %d bytes", len(body), limit, got)
+	}
+
+	// The body buffer itself is sized by the bytes that arrived.
+	req := httptest.NewRequest(http.MethodPost, "/v1/classify/batch", strings.NewReader(body))
+	req.ContentLength = limit
+	buf, ok := readBody(httptest.NewRecorder(), req, limit)
+	if !ok || buf.String() != body {
+		t.Fatalf("readBody = %q, %v", buf, ok)
+	}
+	if c := buf.Cap(); c > 2*(maxPooledBody+bytes.MinRead) {
+		t.Errorf("buffer capacity %d for a %d-byte body", c, len(body))
+	}
+	putBody(buf)
 }
 
 // TestHTTPConcurrentBodies serves warm requests on both classify routes

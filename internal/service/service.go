@@ -246,6 +246,9 @@ type Engine struct {
 	// decider's bucket.
 	byDecider   map[string]*atomic.Uint64
 	unknownMode atomic.Uint64
+	// modes is the registry's names at construction, against which the
+	// request decoders intern mode strings.
+	modes []string
 
 	// obs is the engine's observability state (see obs.go); nil when the
 	// engine was built with Config.DisableObs.
@@ -282,13 +285,15 @@ func New(cfg Config) *Engine {
 	if registry == nil {
 		registry = DefaultRegistry()
 	}
+	modes := registry.Names()
 	byDecider := map[string]*atomic.Uint64{}
-	for _, name := range registry.Names() {
+	for _, name := range modes {
 		byDecider[name] = &atomic.Uint64{}
 	}
 	e := &Engine{
 		registry:     registry,
 		byDecider:    byDecider,
+		modes:        modes,
 		cache:        cache,
 		workers:      workers,
 		jobs:         make(chan func()),
