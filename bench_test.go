@@ -939,9 +939,9 @@ func (w *httpDiscard) Write(p []byte) (int, error) {
 }
 
 // sealedHitBody returns a /v1/classify body for a k=3 cycle mask
-// problem and an engine whose sealed table holds the k=3 cycle census,
-// so the request is a sealed hit.
-func sealedHitBody(tb testing.TB) ([]byte, *service.Engine) {
+// problem and a sealed table holding the k=3 cycle census, so the
+// request is a sealed hit on an engine over that table.
+func sealedHitBody(tb testing.TB) ([]byte, *store.SealedTable) {
 	tb.Helper()
 	sealed, err := service.BuildSealed(service.SealConfig{CycleKs: []int{3}})
 	if err != nil {
@@ -963,20 +963,13 @@ func sealedHitBody(tb testing.TB) ([]byte, *service.Engine) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return body, service.New(service.Config{Workers: 1, Sealed: tbl})
+	return body, tbl
 }
 
-// TestClassifyHTTPAllocs is the allocation budget for the whole
-// instrumented /v1/classify sealed-hit path: middleware, body read,
-// request decode, sealed probe and response encode for a k=3 cycle
-// problem. It took 113 allocations before the one-pass request decoder.
-func TestClassifyHTTPAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under -race, so pooled paths have no stable allocation count")
-	}
-	body, e := sealedHitBody(t)
-	defer e.Close()
-	h := service.NewHandler(e)
+// sealedHitAllocs serves body through h once to check that it is a
+// sealed hit, then returns the allocations of one request.
+func sealedHitAllocs(t *testing.T, h http.Handler, body []byte) float64 {
+	t.Helper()
 	rd := bytes.NewReader(body)
 	req := httptest.NewRequest(http.MethodPost, "/v1/classify", rd)
 	w := &httpDiscard{header: http.Header{}}
@@ -990,8 +983,45 @@ func TestClassifyHTTPAllocs(t *testing.T) {
 	if w.status != http.StatusOK || !bytes.Contains(w.body, []byte(`"sealed":true`)) {
 		t.Fatalf("status %d, body %s: want a sealed hit", w.status, w.body)
 	}
-	allocs := testing.AllocsPerRun(200, serve)
-	if allocs > 35 {
-		t.Errorf("sealed-hit /v1/classify: %v allocs/op, want <= 35", allocs)
+	return testing.AllocsPerRun(200, serve)
+}
+
+// TestClassifyHTTPAllocs is the allocation budget for the whole
+// instrumented /v1/classify sealed-hit path: middleware, body read,
+// request decode, sealed probe and response encode for a k=3 cycle
+// problem. It took 113 allocations before the one-pass request decoder,
+// and 35 before replies were written without reflection and trace
+// spans were kept inline.
+func TestClassifyHTTPAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race, so pooled paths have no stable allocation count")
+	}
+	body, tbl := sealedHitBody(t)
+	e := service.New(service.Config{Workers: 1, Sealed: tbl})
+	defer e.Close()
+	if allocs := sealedHitAllocs(t, service.NewHandler(e), body); allocs > 14 {
+		t.Errorf("sealed-hit /v1/classify: %v allocs/op, want <= 14", allocs)
+	}
+}
+
+// TestMiddlewareHTTPAllocs: obs.Middleware adds a fixed handful of
+// allocations to a sealed-hit request over the bare route table: the
+// trace, which holds every per-request piece of observability state, its
+// minted request ID, the context value that carries it and the request
+// copy that carries the context.
+func TestMiddlewareHTTPAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race, so pooled paths have no stable allocation count")
+	}
+	body, tbl := sealedHitBody(t)
+	bare := service.New(service.Config{Workers: 1, Sealed: tbl, DisableObs: true})
+	defer bare.Close()
+	full := service.New(service.Config{Workers: 1, Sealed: tbl})
+	defer full.Close()
+	bareAllocs := sealedHitAllocs(t, service.NewHandler(bare), body)
+	fullAllocs := sealedHitAllocs(t, service.NewHandler(full), body)
+	t.Logf("bare %v, instrumented %v allocs/op", bareAllocs, fullAllocs)
+	if added := fullAllocs - bareAllocs; added > 4 {
+		t.Errorf("obs.Middleware adds %v allocs/op (bare %v, instrumented %v), want <= 4", added, bareAllocs, fullAllocs)
 	}
 }

@@ -119,6 +119,25 @@ func TestFastCycleFingerprint(t *testing.T) {
 	}
 }
 
+// TestFastCycleFingerprintAllocs: the fast path allocates nothing on a
+// mask it has seen, and materializing a mask problem does not rebuild
+// the alphabet per constraint. FromMasks over the full k=3 masks took
+// 132 allocations while labelNames built a fresh slice per pair.
+func TestFastCycleFingerprintAllocs(t *testing.T) {
+	p := FromMasks(3, 0x15, 0x2a)
+	FastCycleFingerprint(p) // fill the mask-fingerprint cache
+	if allocs := testing.AllocsPerRun(100, func() { FastCycleFingerprint(p) }); allocs != 0 {
+		t.Errorf("warm FastCycleFingerprint: %v allocs/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = labelNames(3) }); allocs != 0 {
+		t.Errorf("labelNames: %v allocs/op, want 0", allocs)
+	}
+	full := uint(1)<<uint(PairCount(3)) - 1
+	if allocs := testing.AllocsPerRun(100, func() { FromMasks(3, full, full) }); allocs > 32 {
+		t.Errorf("FromMasks(3, full, full): %v allocs/op, want <= 32", allocs)
+	}
+}
+
 // TestCensusClassifiesEachOrbitOnce is the orbit-representative
 // acceptance criterion: with no cache and no warm start, the census
 // invokes the classifier exactly once per isomorphism class — both with

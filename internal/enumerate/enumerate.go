@@ -48,14 +48,20 @@ func pairIndex(k, a, b int) int {
 	return a*k - a*(a-1)/2 + (b - a)
 }
 
-// labelNames returns single-letter output alphabets A, B, C, ... for k
-// labels (k <= 26 is far beyond anything the census enumerates).
-func labelNames(k int) []string {
-	names := make([]string, k)
-	for i := range names {
-		names[i] = string(rune('A' + i))
+// alphabet is the single-letter output alphabet A, B, C, ... (26 labels
+// is far beyond anything the census enumerates).
+var alphabet = func() (a [26]string) {
+	for i := range a {
+		a[i] = string(rune('A' + i))
 	}
-	return names
+	return a
+}()
+
+// labelNames returns the first k letters of alphabet, without copying:
+// problems built from it share its strings, as every lcl.Problem is
+// read-only once built. The capacity is k, so an append copies.
+func labelNames(k int) []string {
+	return alphabet[:k:k]
 }
 
 // FromMasks materializes the cycle LCL with node-constraint mask n2 and
@@ -65,15 +71,16 @@ func labelNames(k int) []string {
 // g only deletes labels, which the census already covers at smaller k.
 func FromMasks(k int, n2, e uint) *lcl.Problem {
 	ps := pairs(k)
-	b := lcl.NewBuilder(fmt.Sprintf("enum-k%d-N%d-E%d", k, n2, e), nil, labelNames(k))
+	names := labelNames(k)
+	b := lcl.NewBuilder(fmt.Sprintf("enum-k%d-N%d-E%d", k, n2, e), nil, names)
 	for i, pr := range ps {
 		if n2&(1<<uint(i)) != 0 {
-			b.Node(labelNames(k)[pr[0]], labelNames(k)[pr[1]])
+			b.Node(names[pr[0]], names[pr[1]])
 		}
 	}
 	for i, pr := range ps {
 		if e&(1<<uint(i)) != 0 {
-			b.Edge(labelNames(k)[pr[0]], labelNames(k)[pr[1]])
+			b.Edge(names[pr[0]], names[pr[1]])
 		}
 	}
 	return b.MustBuild()

@@ -113,33 +113,55 @@ func Middleware(next http.Handler, set *Set) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		route := NormalizeRoute(r.URL.Path)
 		tr := NewTrace(r.Header.Get("X-Request-Id"), r.Method, route)
-		w.Header().Set("X-Request-Id", tr.ID())
-		sw := &statusWriter{ResponseWriter: w}
+		tr.idHeader[0] = tr.id
+		w.Header()["X-Request-Id"] = tr.idHeader[:]
+		sw := &tr.sw
+		sw.ResponseWriter = w
 		m.inFlight.Add(1)
 
 		next.ServeHTTP(sw, r.WithContext(ContextWithTrace(r.Context(), tr)))
 
 		m.inFlight.Add(-1)
-		if sw.status == 0 {
-			sw.status = http.StatusOK
+		status := sw.status
+		if status == 0 {
+			status = http.StatusOK
 		}
-		tr.Finish(sw.status)
-		view := tr.View()
-		dur := time.Duration(view.DurationMS * float64(time.Millisecond))
-		m.requests.With(r.Method, route, strconv.Itoa(sw.status)).Inc()
+		// The ring keeps the trace, not the connection's writer.
+		sw.ResponseWriter = nil
+		dur := tr.Finish(status)
+		m.requests.With(r.Method, route, statusLabel(status)).Inc()
 		m.latency.With(route).Observe(dur.Seconds())
 		set.Traces.Add(tr)
-		logger.Debug("request",
-			"id", view.ID, "method", r.Method, "route", route,
-			"status", sw.status, "duration_ms", view.DurationMS)
+		if logger.Enabled(r.Context(), slog.LevelDebug) {
+			logger.Debug("request",
+				"id", tr.id, "method", r.Method, "route", route,
+				"status", status, "duration_ms", ms(dur))
+		}
 		if set.SlowThreshold > 0 && dur >= set.SlowThreshold {
 			m.slow.Inc()
+			view := tr.View()
 			logger.Warn("slow request",
 				"id", view.ID, "method", r.Method, "route", route,
-				"status", sw.status, "duration_ms", view.DurationMS,
+				"status", status, "duration_ms", view.DurationMS,
 				"decider", view.Decider, "spans", spanSummary(view.Spans))
 		}
 	})
+}
+
+// statusLabels holds the label of every status code net/http writes
+// (100–999), so metering a request formats nothing.
+var statusLabels = func() (t [1000]string) {
+	for code := 100; code < len(t); code++ {
+		t[code] = strconv.Itoa(code)
+	}
+	return t
+}()
+
+func statusLabel(code int) string {
+	if code >= 100 && code < len(statusLabels) {
+		return statusLabels[code]
+	}
+	return strconv.Itoa(code)
 }
 
 // spanSummary renders spans compactly for log lines:
@@ -169,7 +191,22 @@ func NormalizeRoute(path string) string {
 	case "/healthz", "/statsz", "/metricsz", "/debug/tracez":
 		return path
 	}
-	seg := strings.Split(strings.Trim(path, "/"), "/")
+	// Split in place: no route has more than four segments, so a path
+	// with a fifth is "other" without looking further.
+	var segs [4]string
+	seg := segs[:0]
+	for rest := strings.Trim(path, "/"); ; {
+		if len(seg) == len(segs) {
+			return "other"
+		}
+		i := strings.IndexByte(rest, '/')
+		if i < 0 {
+			seg = append(seg, rest)
+			break
+		}
+		seg = append(seg, rest[:i])
+		rest = rest[i+1:]
+	}
 	if len(seg) < 2 || seg[0] != "v1" {
 		return "other"
 	}

@@ -377,22 +377,32 @@ func (f *family) childFor(labelValues []string, mk func() *child) *child {
 	if len(labelValues) != len(f.labelNames) {
 		panic(fmt.Sprintf("obs: %s: got %d label values, want %d", f.name, len(labelValues), len(f.labelNames)))
 	}
-	key := strings.Join(labelValues, "\x00")
+	// The key is built on the stack and the map indexed with
+	// m[string(buf)], so finding an existing child allocates nothing.
+	var buf [128]byte
+	key := buf[:0]
+	for i, v := range labelValues {
+		if i > 0 {
+			key = append(key, 0)
+		}
+		key = append(key, v...)
+	}
 	f.mu.RLock()
-	c, ok := f.children[key]
+	c, ok := f.children[string(key)]
 	f.mu.RUnlock()
 	if ok {
 		return c
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if c, ok := f.children[key]; ok {
+	if c, ok := f.children[string(key)]; ok {
 		return c
 	}
 	c = mk()
 	c.labels = renderLabels(f.labelNames, labelValues)
-	f.children[key] = c
-	f.order = append(f.order, key)
+	k := string(key)
+	f.children[k] = c
+	f.order = append(f.order, k)
 	return c
 }
 

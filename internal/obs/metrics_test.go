@@ -202,3 +202,23 @@ func TestLabelEscaping(t *testing.T) {
 		t.Errorf("escaped sample %q missing from:\n%s", want, b.String())
 	}
 }
+
+// TestWithExistingChildZeroAlloc: looking up an existing child of a
+// labeled family allocates nothing, so metering a request is free once
+// its label values have been seen.
+func TestWithExistingChildZeroAlloc(t *testing.T) {
+	r := NewRegistry()
+	requests := r.CounterVec("requests_total", "h", "method", "route", "status")
+	latency := r.HistogramVec("latency_seconds", "h", nil, "route")
+	requests.With("POST", "/v1/classify", "200").Inc()
+	latency.With("/v1/classify").Observe(0.001)
+	if allocs := testing.AllocsPerRun(100, func() {
+		requests.With("POST", "/v1/classify", "200").Inc()
+		latency.With("/v1/classify").Observe(0.001)
+	}); allocs != 0 {
+		t.Errorf("With on existing children: %v allocs/op, want 0", allocs)
+	}
+	if got := statusLabel(200); got != "200" || statusLabel(1000) != "1000" || statusLabel(99) != "99" {
+		t.Errorf("statusLabel(200) = %q", got)
+	}
+}

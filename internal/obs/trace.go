@@ -11,8 +11,10 @@
 package obs
 
 import (
+	"cmp"
 	"context"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,6 +29,11 @@ type Span struct {
 	Dur   time.Duration `json:"duration_us"`
 }
 
+// inlineSpans is how many spans a Trace holds without allocating: a
+// sealed or memo hit records fewer. Each slot is kept by every trace in
+// the ring, so the array is no larger than the hit path needs.
+const inlineSpans = 8
+
 // Trace is one request's trace record. Create with NewTrace, record
 // stages with Record, close with Finish, publish with TraceRing.Add.
 // Spans may be recorded concurrently (batch items fan out across
@@ -38,11 +45,18 @@ type Trace struct {
 	start  time.Time
 	seq    uint64 // assigned by the ring at publish
 
-	mu      sync.Mutex
-	decider string
-	status  int
-	dur     time.Duration
-	spans   []Span
+	mu       sync.Mutex
+	decider  string
+	status   int
+	dur      time.Duration
+	nspans   int // spans held in inline
+	inline   [inlineSpans]Span
+	overflow []Span
+
+	// The middleware's per-request state lives in the trace, so that it
+	// costs no allocation of its own.
+	sw       statusWriter
+	idHeader [1]string // the X-Request-Id header value
 }
 
 // NewTrace starts a trace. An empty id generates a fresh one.
@@ -62,13 +76,17 @@ func NewTraceID() string {
 // fmt.Sprintf("%016x", v) does, in one allocation: the form of trace
 // IDs and of fingerprints on the wire.
 func Hex16(v uint64) string {
-	const digits = "0123456789abcdef"
 	var b [16]byte
-	for i := len(b) - 1; i >= 0; i-- {
-		b[i] = digits[v&0xf]
-		v >>= 4
+	return string(AppendHex16(b[:0], v))
+}
+
+// AppendHex16 appends the Hex16 form of v to dst.
+func AppendHex16(dst []byte, v uint64) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		dst = append(dst, digits[v>>shift&0xf])
 	}
-	return string(b[:])
+	return dst
 }
 
 // ID returns the trace's request ID ("" for a nil trace).
@@ -85,12 +103,19 @@ func (t *Trace) Record(name string, start time.Time) {
 	if t == nil {
 		return
 	}
-	offset := start.Sub(t.start)
-	if offset < 0 {
-		offset = 0
-	}
+	t.add(Span{Name: name, Start: max(start.Sub(t.start), 0), Dur: time.Since(start)})
+}
+
+// add keeps s in the first free inline slot, or in overflow once the
+// inline array is full.
+func (t *Trace) add(s Span) {
 	t.mu.Lock()
-	t.spans = append(t.spans, Span{Name: name, Start: offset, Dur: time.Since(start)})
+	if t.nspans < len(t.inline) {
+		t.inline[t.nspans] = s
+		t.nspans++
+	} else {
+		t.overflow = append(t.overflow, s)
+	}
 	t.mu.Unlock()
 }
 
@@ -105,15 +130,18 @@ func (t *Trace) SetDecider(name string) {
 	t.mu.Unlock()
 }
 
-// Finish seals the trace with the response status and total duration.
-func (t *Trace) Finish(status int) {
+// Finish seals the trace with the response status and returns its
+// total duration (0 for a nil trace).
+func (t *Trace) Finish(status int) time.Duration {
 	if t == nil {
-		return
+		return 0
 	}
+	dur := time.Since(t.start)
 	t.mu.Lock()
 	t.status = status
-	t.dur = time.Since(t.start)
+	t.dur = dur
 	t.mu.Unlock()
+	return dur
 }
 
 // TraceView is an immutable snapshot of a finished trace, JSON-shaped
@@ -136,7 +164,9 @@ type SpanView struct {
 	DurationMS float64 `json:"duration_ms"`
 }
 
-// View snapshots the trace (spans sorted by start offset).
+// View snapshots the trace, spans sorted by start offset (ties in the
+// order they were recorded). Only the readers of traces call it: the
+// /debug/tracez handler and the slow-request log.
 func (t *Trace) View() TraceView {
 	t.mu.Lock()
 	v := TraceView{
@@ -147,11 +177,11 @@ func (t *Trace) View() TraceView {
 		Decider:    t.decider,
 		Start:      t.start,
 		DurationMS: ms(t.dur),
-		Spans:      make([]SpanView, len(t.spans)),
 	}
-	spans := append([]Span(nil), t.spans...)
+	spans := append(append(make([]Span, 0, t.nspans+len(t.overflow)), t.inline[:t.nspans]...), t.overflow...)
 	t.mu.Unlock()
-	sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
+	v.Spans = make([]SpanView, len(spans))
+	slices.SortStableFunc(spans, func(a, b Span) int { return cmp.Compare(a.Start, b.Start) })
 	for i, s := range spans {
 		v.Spans[i] = SpanView{Name: s.Name, StartMS: ms(s.Start), DurationMS: ms(s.Dur)}
 	}

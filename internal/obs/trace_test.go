@@ -3,8 +3,10 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -328,5 +330,179 @@ func TestHex16MatchesSprintf(t *testing.T) {
 	}
 	if id := NewTraceID(); len(id) != 16 {
 		t.Errorf("trace ID %q is not 16 digits", id)
+	}
+}
+
+// pinnedTrace builds a finished trace with fixed times, so its views
+// render to fixed bytes. Spans are added in the order given.
+func pinnedTrace(spans ...Span) *Trace {
+	tr := &Trace{
+		id:      "00000000000000ab",
+		method:  "POST",
+		route:   "/v1/classify",
+		start:   time.Date(2026, 1, 2, 3, 4, 5, 6000, time.UTC),
+		decider: "cycles",
+		status:  200,
+		dur:     1500 * time.Microsecond,
+	}
+	for _, s := range spans {
+		tr.add(s)
+	}
+	return tr
+}
+
+// TestTraceOverflowKeepsEverySpan: a trace with more spans than its
+// inline capacity keeps all of them, and View returns them in start
+// order, ties in the order they were recorded.
+func TestTraceOverflowKeepsEverySpan(t *testing.T) {
+	const n = 3*inlineSpans + 1
+	var spans []Span
+	for i := n - 1; i >= 0; i-- {
+		spans = append(spans, Span{Name: fmt.Sprintf("s%02d", i), Start: time.Duration(i/2) * time.Microsecond})
+	}
+	v := pinnedTrace(spans...).View()
+	if len(v.Spans) != n {
+		t.Fatalf("view has %d spans, want %d", len(v.Spans), n)
+	}
+	for i, s := range v.Spans {
+		// Spans 2j and 2j+1 share a start; 2j+1 was recorded first.
+		want := fmt.Sprintf("s%02d", i^1)
+		if i == n-1 {
+			want = fmt.Sprintf("s%02d", i)
+		}
+		if s.Name != want || s.StartMS != ms(time.Duration(i/2)*time.Microsecond) {
+			t.Errorf("span %d = %+v, want %s at %vms", i, s, want, ms(time.Duration(i/2)*time.Microsecond))
+		}
+	}
+}
+
+// TestTraceRecordConcurrent: batch workers record into one trace at
+// once, past the inline capacity, and every span is kept.
+func TestTraceRecordConcurrent(t *testing.T) {
+	tr := NewTrace("", "POST", "/v1/classify/batch")
+	const workers, each = 4, inlineSpans
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				tr.Record("compute", time.Now())
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(tr.View().Spans); n != workers*each {
+		t.Errorf("view has %d spans, want %d", n, workers*each)
+	}
+}
+
+// TestTraceFinishDuration: Finish returns the duration View reports.
+func TestTraceFinishDuration(t *testing.T) {
+	tr := NewTrace("", "POST", "/v1/classify")
+	tr.start = tr.start.Add(-3 * time.Millisecond)
+	dur := tr.Finish(200)
+	if dur < 3*time.Millisecond || ms(dur) != tr.View().DurationMS {
+		t.Errorf("Finish = %v, View().DurationMS = %v", dur, tr.View().DurationMS)
+	}
+	if (*Trace)(nil).Finish(200) != 0 {
+		t.Error("nil trace Finish must return 0")
+	}
+}
+
+// TestTracezPinned holds the /debug/tracez body of a fixed trace to
+// bytes: the view is built on read, and its shape does not change.
+func TestTracezPinned(t *testing.T) {
+	ring := NewTraceRing(4)
+	ring.Add(pinnedTrace(
+		Span{Name: "encode", Start: 1200 * time.Microsecond, Dur: 100 * time.Microsecond},
+		Span{Name: "decode", Start: 0, Dur: 250 * time.Microsecond},
+		Span{Name: "sealed-get", Start: 900 * time.Microsecond, Dur: 50 * time.Microsecond},
+	))
+	rec := httptest.NewRecorder()
+	TracezHandler(ring).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/tracez", nil))
+	const want = `{
+  "count": 1,
+  "traces": [
+    {
+      "id": "00000000000000ab",
+      "method": "POST",
+      "route": "/v1/classify",
+      "status": 200,
+      "decider": "cycles",
+      "start": "2026-01-02T03:04:05.000006Z",
+      "duration_ms": 1.5,
+      "spans": [
+        {
+          "name": "decode",
+          "start_ms": 0,
+          "duration_ms": 0.25
+        },
+        {
+          "name": "sealed-get",
+          "start_ms": 0.9,
+          "duration_ms": 0.05
+        },
+        {
+          "name": "encode",
+          "start_ms": 1.2,
+          "duration_ms": 0.1
+        }
+      ]
+    }
+  ]
+}
+`
+	if got := rec.Body.String(); got != want {
+		t.Errorf("tracez body:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestMiddlewareLogLines holds the access and slow-request log lines:
+// the debug access line appears only when debug is enabled, and the
+// slow-request line carries the span breakdown.
+func TestMiddlewareLogLines(t *testing.T) {
+	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		tr := TraceFrom(r.Context())
+		tr.SetDecider("cycles")
+		tr.Record("decode", time.Now())
+		tr.Record("encode", time.Now())
+		w.WriteHeader(http.StatusAccepted)
+	})
+	serve := func(level slog.Level) string {
+		var buf strings.Builder
+		set := NewSet()
+		set.Logger = NewLogger(&buf, level, false)
+		set.SlowThreshold = time.Nanosecond
+		req := httptest.NewRequest("POST", "/v1/classify", nil)
+		req.Header.Set("X-Request-Id", "pinned-id")
+		Middleware(inner, set).ServeHTTP(httptest.NewRecorder(), req)
+		return buf.String()
+	}
+	const fields = `component=http id=pinned-id method=POST route=/v1/classify status=202 duration_ms=[0-9.e-]+`
+	access := regexp.MustCompile(`(?m)^time=\S+ level=DEBUG msg=request ` + fields + `$`)
+	slow := regexp.MustCompile(`(?m)^time=\S+ level=WARN msg="slow request" ` + fields +
+		` decider=cycles spans="decode=[0-9.]+ms encode=[0-9.]+ms"$`)
+
+	out := serve(slog.LevelDebug)
+	if !access.MatchString(out) || !slow.MatchString(out) || strings.Count(out, "\n") != 2 {
+		t.Errorf("debug-level log:\n%s", out)
+	}
+	out = serve(slog.LevelInfo)
+	if access.MatchString(out) || !slow.MatchString(out) || strings.Count(out, "\n") != 1 {
+		t.Errorf("info-level log:\n%s", out)
+	}
+}
+
+// TestNormalizeRouteZeroAlloc: labelling a request's route allocates
+// nothing.
+func TestNormalizeRouteZeroAlloc(t *testing.T) {
+	paths := []string{"/v1/classify", "/v1/classify/batch", "/v1/jobs/j07/events", "/v1/jobs/a/b/events", "/junk/1/2/3/4/5", "/healthz"}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, p := range paths {
+			_ = NormalizeRoute(p)
+		}
+	}); allocs != 0 {
+		t.Errorf("NormalizeRoute: %v allocs per sweep, want 0", allocs)
 	}
 }

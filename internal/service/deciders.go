@@ -119,6 +119,17 @@ type cyclesDetail struct {
 	Witness string `json:"witness,omitempty"`
 }
 
+func (d *cyclesDetail) appendJSON(b []byte) []byte {
+	b = appendString(append(b, `{"class":`...), d.Class)
+	if d.Period != 0 {
+		b = strconv.AppendInt(append(b, `,"period":`...), int64(d.Period), 10)
+	}
+	if d.Witness != "" {
+		b = appendString(append(b, `,"witness":`...), d.Witness)
+	}
+	return append(b, '}')
+}
+
 func (cyclesDecider) WrapPayload(payload any) (*decide.Verdict, error) {
 	res, ok := payload.(*classify.Result)
 	if !ok {
@@ -165,6 +176,14 @@ type treesDetail struct {
 	Level      int    `json:"level"`
 }
 
+func (d *treesDetail) appendJSON(b []byte) []byte {
+	b = appendString(append(b, `{"verdict":`...), d.Verdict)
+	b = strconv.AppendBool(append(b, `,"constant":`...), d.Constant)
+	b = strconv.AppendBool(append(b, `,"lower_bound":`...), d.LowerBound)
+	b = strconv.AppendInt(append(b, `,"level":`...), int64(d.Level), 10)
+	return append(b, '}')
+}
+
 func (treesDecider) WrapPayload(payload any) (*decide.Verdict, error) {
 	v, ok := payload.(*core.TreeVerdict)
 	if !ok {
@@ -205,6 +224,21 @@ func (pathsDecider) Compute(ctx context.Context, req *decide.Request) (any, erro
 type pathsDetail struct {
 	SolvableAllInputs bool  `json:"solvable_all_inputs"`
 	BadInput          []int `json:"bad_input,omitempty"`
+}
+
+func (d *pathsDetail) appendJSON(b []byte) []byte {
+	b = strconv.AppendBool(append(b, `{"solvable_all_inputs":`...), d.SolvableAllInputs)
+	if len(d.BadInput) > 0 {
+		b = append(b, `,"bad_input":[`...)
+		for i, x := range d.BadInput {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(x), 10)
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}')
 }
 
 func (pathsDecider) WrapPayload(payload any) (*decide.Verdict, error) {
@@ -258,6 +292,12 @@ func (synthDecider) Compute(ctx context.Context, req *decide.Request) (any, erro
 type synthDetail struct {
 	Found  bool `json:"found"`
 	Radius int  `json:"radius"`
+}
+
+func (d *synthDetail) appendJSON(b []byte) []byte {
+	b = strconv.AppendBool(append(b, `{"found":`...), d.Found)
+	b = strconv.AppendInt(append(b, `,"radius":`...), int64(d.Radius), 10)
+	return append(b, '}')
 }
 
 func (synthDecider) WrapPayload(payload any) (*decide.Verdict, error) {

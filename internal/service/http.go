@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/decide"
 	"repro/internal/jsonscan"
@@ -73,27 +74,6 @@ type wireRequest struct {
 	MaxLevels int                   `json:"max_levels,omitempty"`
 	MaxRadius int                   `json:"max_radius,omitempty"`
 	Dims      int                   `json:"dims,omitempty"`
-}
-
-// wireResponse is the JSON form of a Response: serving metadata, the
-// shared-lattice class, and the decider-specific detail — uniform
-// across every registered decider, so adding one needs no transport
-// changes.
-type wireResponse struct {
-	Problem     string `json:"problem,omitempty"`
-	Mode        string `json:"mode"`
-	Fingerprint string `json:"fingerprint,omitempty"`
-	CacheHit    bool   `json:"cache_hit"`
-	Coalesced   bool   `json:"coalesced,omitempty"`
-	Sealed      bool   `json:"sealed,omitempty"`
-	// Class is the verdict on the shared complexity-class lattice
-	// ("unsolvable", "O(1)", "Θ(log* n)", "Θ(log n)", "Θ(n^{1/k})",
-	// "Θ(n)", "unknown").
-	Class string `json:"class,omitempty"`
-	// Detail carries the decider-specific view (Decider.WrapPayload).
-	Detail json.RawMessage `json:"detail,omitempty"`
-
-	Error string `json:"error,omitempty"`
 }
 
 // decodeRequest parses one wire request into an engine Request; lcl
@@ -297,16 +277,6 @@ type wireBatchRequest struct {
 	Requests []wireRequest `json:"requests"`
 }
 
-// wireBatchResponse documents the batch response shape. The handler
-// streams it through a pooled buffer (see batchEncoder) rather than
-// marshaling this struct; tests decode into it.
-type wireBatchResponse struct {
-	Results []*wireResponse `json:"results"`
-	// Deduped counts items served by fanning out another item's result
-	// (intra-batch duplicates by canonical fingerprint).
-	Deduped int `json:"deduped,omitempty"`
-}
-
 // wireBatchLimitError is the structured 413 body for oversized batches.
 type wireBatchLimitError struct {
 	Error    string `json:"error"`
@@ -315,86 +285,166 @@ type wireBatchLimitError struct {
 }
 
 // batchEncoder is the pooled response writer behind both classify
-// routes: one buffer for the whole body, a reused json.Encoder and wire
-// struct, and a detail-marshal cache keyed by detail pointer, so a
-// dedup group's shared detail is marshaled once instead of per item.
-// Every item is written compactly, one per line, so a /v1/classify
-// body is byte for byte the matching /v1/classify/batch item.
+// routes: one buffer for the whole body, written with append and no
+// reflection. An item is one compact JSON object on its own line, with
+// the fields, in order,
+//
+//	problem      the problem's name, left out when empty
+//	mode
+//	fingerprint  16 hex digits, left out on an error item
+//	cache_hit
+//	coalesced    only when true
+//	sealed       only when true
+//	class        the shared-lattice class, left out when empty
+//	detail       the decider's detail, left out when nil
+//	error        the item's error, left out on success
+//
+// and strings escaped as encoding/json escapes them, so a /v1/classify
+// body is byte for byte the matching /v1/classify/batch item and the
+// output of json.Encoder over the same fields.
 type batchEncoder struct {
-	buf     bytes.Buffer
-	enc     *json.Encoder
-	wr      wireResponse
-	details map[any]json.RawMessage
+	buf []byte
 }
 
-var batchEncPool = sync.Pool{
-	New: func() any {
-		be := &batchEncoder{details: map[any]json.RawMessage{}}
-		be.enc = json.NewEncoder(&be.buf)
-		return be
-	},
-}
+var batchEncPool = sync.Pool{New: func() any { return new(batchEncoder) }}
 
 func getEncoder() *batchEncoder { return batchEncPool.Get().(*batchEncoder) }
 
 // release empties the encoder and returns it to the pool.
 func (be *batchEncoder) release() {
-	be.buf.Reset()
-	be.wr = wireResponse{}
-	clear(be.details)
+	be.buf = be.buf[:0]
 	batchEncPool.Put(be)
 }
 
+// jsonContentType is the Content-Type header value of every classify
+// reply, shared so that setting it allocates nothing; nothing writes to
+// it.
+var jsonContentType = []string{"application/json"}
+
 // flush writes the buffered body as a 200 JSON response.
 func (be *batchEncoder) flush(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(be.buf.Bytes())
+	_, _ = w.Write(be.buf)
 }
 
-// marshalDetail returns the wire bytes of a verdict detail, cached by
-// pointer identity (all registered deciders return pointer-typed
-// details, which intra-batch duplicates share).
-func (be *batchEncoder) marshalDetail(mode string, detail any) (json.RawMessage, error) {
-	if raw, ok := be.details[detail]; ok {
-		return raw, nil
-	}
-	raw, err := json.Marshal(detail)
-	if err != nil {
-		return nil, fmt.Errorf("encode %s detail: %v", mode, err)
-	}
-	be.details[detail] = raw
-	return raw, nil
+// detailAppender is implemented by the service's own detail types,
+// which append their JSON form without reflection. Other details (the
+// rooted and grid verdicts, which are library types) go through
+// json.Marshal.
+type detailAppender interface {
+	appendJSON(dst []byte) []byte
 }
 
-// writeResult appends the wire form of one served item. Detail types
-// are service-defined and marshalable by construction; a failure is a
-// programming error, returned (with nothing written) so the caller can
-// report it instead of sending a 200 with a missing detail.
+// writeResult appends the wire form of one served item. A detail that
+// json.Marshal rejects is a programming error, returned (with nothing
+// written) so the caller can report it instead of sending a 200 with a
+// missing detail.
 func (be *batchEncoder) writeResult(name string, resp *Response) error {
-	be.wr = wireResponse{
-		Problem:     name,
-		Mode:        resp.Mode,
-		Fingerprint: obs.Hex16(resp.Fingerprint),
-		CacheHit:    resp.CacheHit,
-		Coalesced:   resp.Coalesced,
-		Sealed:      resp.Sealed,
-		Class:       resp.Class.String(),
+	b := appendHead(be.buf, name, resp.Mode)
+	b = append(b, `,"fingerprint":"`...)
+	b = obs.AppendHex16(b, resp.Fingerprint)
+	b = append(b, `","cache_hit":`...)
+	b = strconv.AppendBool(b, resp.CacheHit)
+	if resp.Coalesced {
+		b = append(b, `,"coalesced":true`...)
 	}
-	if resp.Detail != nil {
-		raw, err := be.marshalDetail(resp.Mode, resp.Detail)
+	if resp.Sealed {
+		b = append(b, `,"sealed":true`...)
+	}
+	if class := resp.Class.String(); class != "" {
+		b = append(b, `,"class":`...)
+		b = appendString(b, class)
+	}
+	switch d := resp.Detail.(type) {
+	case nil:
+	case detailAppender:
+		b = d.appendJSON(append(b, `,"detail":`...))
+	default:
+		raw, err := json.Marshal(d)
 		if err != nil {
-			return err
+			return fmt.Errorf("encode %s detail: %v", resp.Mode, err)
 		}
-		be.wr.Detail = raw
+		b = append(append(b, `,"detail":`...), raw...)
 	}
-	return be.enc.Encode(&be.wr)
+	be.buf = append(b, "}\n"...)
+	return nil
 }
 
 // writeError appends the wire form of one failed item.
 func (be *batchEncoder) writeError(name, mode string, err error) {
-	be.wr = wireResponse{Problem: name, Mode: mode, Error: err.Error()}
-	_ = be.enc.Encode(&be.wr)
+	b := append(appendHead(be.buf, name, mode), `,"cache_hit":false`...)
+	if msg := err.Error(); msg != "" {
+		b = append(b, `,"error":`...)
+		b = appendString(b, msg)
+	}
+	be.buf = append(b, "}\n"...)
+}
+
+// appendHead opens an item with its problem name and mode.
+func appendHead(b []byte, name, mode string) []byte {
+	b = append(b, '{')
+	if name != "" {
+		b = append(b, `"problem":`...)
+		b = appendString(b, name)
+		b = append(b, ',')
+	}
+	b = append(b, `"mode":`...)
+	return appendString(b, mode)
+}
+
+// appendString appends s as a JSON string, escaped byte for byte as
+// json.Encoder escapes it: the short escapes for quote, backslash, \b,
+// \f, \n, \r and \t; \u00XX for the other control bytes and for <, >
+// and &; \ufffd for each invalid UTF-8 byte; \u2028 and \u2029; and
+// everything else verbatim. (strconv.AppendQuote would write Go
+// escapes, such as \x.. and \a, which are not JSON.)
+func appendString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(append(b, s[start:i]...), `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(append(b, s[start:i]...), '\\', 'u', '2', '0', '2', hex[r&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	return append(append(b, s[start:]...), '"')
 }
 
 func (e *Engine) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -422,16 +472,15 @@ func (e *Engine) handleBatch(w http.ResponseWriter, r *http.Request) {
 	items := b.Classify(r.Context(), valid)
 
 	// Stream the response through the pooled encoder, one line per
-	// item, with dedup groups sharing one detail marshal. Encode appends
-	// a newline after each value — legal JSON whitespace inside the
-	// array.
+	// item: the newline after each item is legal JSON whitespace inside
+	// the array.
 	be := getEncoder()
 	defer be.release()
-	be.buf.WriteString(`{"results":[`)
+	be.buf = append(be.buf, `{"results":[`...)
 	next := 0
 	for i := range reqs {
 		if i > 0 {
-			be.buf.WriteByte(',')
+			be.buf = append(be.buf, ',')
 		}
 		if failed(i) {
 			be.writeError("", reqs[i].Mode, decodeErrs[i])
@@ -448,11 +497,11 @@ func (e *Engine) handleBatch(w http.ResponseWriter, r *http.Request) {
 			be.writeError(requestName(req), req.Mode, item.Err)
 		}
 	}
-	be.buf.WriteByte(']')
+	be.buf = append(be.buf, ']')
 	if d := b.Stats().Deduped; d > 0 {
-		fmt.Fprintf(&be.buf, `,"deduped":%d`, d)
+		be.buf = strconv.AppendInt(append(be.buf, `,"deduped":`...), int64(d), 10)
 	}
-	be.buf.WriteString("}\n")
+	be.buf = append(be.buf, "}\n"...)
 	be.flush(w)
 }
 
