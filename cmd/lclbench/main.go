@@ -862,8 +862,12 @@ func batchBenchRequests(k, distinct, copies int) []service.Request {
 // an earlier one, clearing the >= 50%-shared acceptance shape). Both
 // paths serve every unique problem from the memo; the batch path
 // additionally dedups repeats and amortizes the cache probes, which is
-// the >= 3x it is gated on. Returns (batch sweep latency ms, memo hit
-// rate of the batch sweep, per-item/batch speedup, batch items/sec).
+// the >= 3x it is gated on. The work is split into batchRounds
+// alternating per-item/batch rounds, so a scheduler hiccup skews one
+// round's ratio rather than the whole sample; the recorded speedup is
+// the median round ratio. Returns (batch sweep latency ms, memo hit
+// rate of the batch sweeps, median per-item/batch speedup, batch
+// items/sec).
 func runBatchOnce(p gridPoint) (float64, float64, float64, float64, error) {
 	const (
 		distinct = 256
@@ -881,39 +885,62 @@ func runBatchOnce(p gridPoint) (float64, float64, float64, float64, error) {
 			return 0, 0, 0, 0, item.Err
 		}
 	}
-	iters := (1 << 18) / len(reqs)
-	if iters < 1 {
-		iters = 1
-	}
-	ops := iters * len(reqs)
+	iters := max((1<<18)/len(reqs)/batchRounds, 1)
+	ops := batchRounds * iters * len(reqs)
 
-	start := time.Now()
-	for it := 0; it < iters; it++ {
-		for i := range reqs {
-			if _, err := engine.Classify(reqs[i]); err != nil {
-				return 0, 0, 0, 0, err
+	var batch time.Duration
+	var ratios []float64
+	var sweeps memo.Stats // hits and misses of the batch sweeps alone
+	for r := 0; r < batchRounds; r++ {
+		start := time.Now()
+		for it := 0; it < iters; it++ {
+			for i := range reqs {
+				if _, err := engine.Classify(reqs[i]); err != nil {
+					return 0, 0, 0, 0, err
+				}
 			}
 		}
-	}
-	perItem := time.Since(start)
+		perItem := time.Since(start)
 
-	before := engine.Stats().Cache
-	start = time.Now()
-	for it := 0; it < iters; it++ {
-		for _, item := range bt.Classify(ctx, reqs) {
-			if item.Err != nil {
-				return 0, 0, 0, 0, item.Err
+		before := engine.Stats().Cache
+		start = time.Now()
+		for it := 0; it < iters; it++ {
+			for _, item := range bt.Classify(ctx, reqs) {
+				if item.Err != nil {
+					return 0, 0, 0, 0, item.Err
+				}
 			}
 		}
+		round := time.Since(start)
+		after := engine.Stats().Cache
+		sweeps.Hits += after.Hits - before.Hits
+		sweeps.Misses += after.Misses - before.Misses
+		if round <= 0 {
+			return 0, 0, 0, 0, fmt.Errorf("batch sweep too fast to time (%d items in %v)", iters*len(reqs), round)
+		}
+		batch += round
+		ratios = append(ratios, float64(perItem)/float64(round))
 	}
-	batch := time.Since(start)
-	after := engine.Stats().Cache
-	secs := batch.Seconds()
-	if secs <= 0 {
-		return 0, 0, 0, 0, fmt.Errorf("batch sweep too fast to time (%d items in %v)", ops, batch)
+	return float64(batch) / float64(time.Millisecond), hitRateDelta(memo.Stats{}, sweeps), median(ratios), float64(ops) / batch.Seconds(), nil
+}
+
+// batchRounds is how many alternating per-item/batch rounds
+// runBatchOnce splits its work into.
+const batchRounds = 8
+
+// median returns the middle value of xs (the mean of the two middle
+// values for even lengths), leaving xs unmodified.
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n == 0 {
+		return 0
 	}
-	speedup := float64(perItem) / float64(batch)
-	return float64(batch) / float64(time.Millisecond), hitRateDelta(before, after), speedup, float64(ops) / secs, nil
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // runBatchSealedOnce times batch serving entirely out of the sealed
@@ -1391,9 +1418,10 @@ func validateReport(r *Report) error {
 				return fmt.Errorf("%s: speedup_vs_memo has %d samples, want %d", where, len(e.SpeedupVsMemo.Samples), r.Repeats)
 			}
 			// The pipeline's acceptance bar: the duplicate-heavy batch must
-			// clear 3x the per-item loop on the same warm engine.
-			if e.SpeedupVsMemo.Mean < 3 {
-				return fmt.Errorf("%s: batch pipeline only %.1fx faster than the per-item loop, want >= 3x", where, e.SpeedupVsMemo.Mean)
+			// clear 3x the per-item loop on the same warm engine, taken
+			// over the median repeat so one noisy repeat cannot decide it.
+			if m := median(e.SpeedupVsMemo.Samples); m < 3 {
+				return fmt.Errorf("%s: batch pipeline only %.1fx faster than the per-item loop (median of %d repeats), want >= 3x", where, m, len(e.SpeedupVsMemo.Samples))
 			}
 			if e.ItemsPerSec == nil || e.ItemsPerSec.Mean <= 0 {
 				return fmt.Errorf("%s: batch experiment missing items_per_sec", where)

@@ -80,6 +80,19 @@ func TestValidateReportRejectsMalformed(t *testing.T) {
 			r.Experiments[1].HitRate = Dist{Samples: r.Experiments[1].HitRate.Samples}
 		}},
 		{"bad-rounds", func(r *Report) { r.Experiments[0].Rounds = 0 }},
+		// The batch gate reads the median sample, not the mean: one
+		// outlier repeat cannot lift a slow pipeline over 3x.
+		{"batch-median-below-3x", func(r *Report) {
+			for i := range r.Experiments {
+				if e := &r.Experiments[i]; e.Kind == KindBatch {
+					samples := make([]float64, len(e.SpeedupVsMemo.Samples))
+					for j := range samples {
+						samples[j] = 2
+					}
+					e.SpeedupVsMemo = &Dist{Mean: 10, Min: 2, Samples: samples}
+				}
+			}
+		}},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {
@@ -298,5 +311,28 @@ func TestCLI(t *testing.T) {
 	}
 	if code := run([]string{"-grid", "small", "-repeats", "1", "-out", out, "-trajectory", traj}, &stdout, &stderr); code != 2 {
 		t.Fatalf("trajectory without label exit %d", code)
+	}
+}
+
+func TestMedian(t *testing.T) {
+	for _, c := range []struct {
+		in   []float64
+		want float64
+	}{
+		{nil, 0},
+		{[]float64{7}, 7},
+		{[]float64{9, 1, 5}, 5},
+		{[]float64{4, 1, 3, 2}, 2.5},
+		{[]float64{1, 100, 2, 3, 4}, 3},
+	} {
+		in := append([]float64(nil), c.in...)
+		if got := median(c.in); got != c.want {
+			t.Errorf("median(%v) = %v, want %v", c.in, got, c.want)
+		}
+		for i := range in {
+			if in[i] != c.in[i] {
+				t.Errorf("median reordered its input: %v", c.in)
+			}
+		}
 	}
 }

@@ -3,8 +3,8 @@
 // synthesis, rooted trees, and oriented grids, dispatched through the
 // decider registry (internal/decide) — behind a memoized, batch-capable
 // API whose verdicts share one complexity-class lattice, plus a
-// background job orchestrator for the long-running workloads (censuses,
-// landscape sweeps).
+// background job orchestrator for the long-running census workloads.
+// The Figure-1 landscape panels are drawn offline by cmd/landscape.
 //
 //	lclserver -addr :8080 -workers 8 -cache-capacity 65536 \
 //	  -snapshot /var/lib/lcl/snapshot.lclsnap \

@@ -83,13 +83,11 @@ func apiError(resp *http.Response) error {
 
 func (c *jobClient) submit(args []string) error {
 	fs := flag.NewFlagSet("jobs submit", flag.ExitOnError)
-	typ := fs.String("type", "census", "job type: census|path-census|rooted-census|landscape")
+	typ := fs.String("type", "census", "job type: census|path-census|rooted-census")
 	k := fs.Int("k", 2, "alphabet size (census, path-census, rooted-census)")
 	dedup := fs.Bool("dedup", false, "deduplicate label-isomorphic problems (census)")
 	delta := fs.Int("delta", 2, "children per node (rooted-census)")
 	radius := fs.Int("radius", 0, "max anonymous synthesis radius (rooted-census; 0 = default)")
-	sizes := fs.String("sizes", "", "comma-separated instance sizes (landscape)")
-	seed := fs.Int64("seed", 1, "random seed (landscape)")
 	priority := fs.Int("priority", 0, "queue priority (higher runs first)")
 	watch := fs.Bool("watch", false, "watch the job after submitting")
 	fs.Parse(args)
@@ -100,17 +98,7 @@ func (c *jobClient) submit(args []string) error {
 		Dedup:     *dedup,
 		Delta:     *delta,
 		MaxRadius: *radius,
-		Seed:      *seed,
 		Priority:  *priority,
-	}
-	if *sizes != "" {
-		for _, s := range strings.Split(*sizes, ",") {
-			var n int
-			if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &n); err != nil {
-				return fmt.Errorf("bad -sizes entry %q", s)
-			}
-			spec.Sizes = append(spec.Sizes, n)
-		}
 	}
 	body, err := json.Marshal(spec)
 	if err != nil {

@@ -1,9 +1,8 @@
 // Package jobs is the asynchronous job orchestration layer: it runs
-// long-running work (censuses, landscape sweeps) as background jobs with
-// a bounded worker pool, a priority FIFO queue, per-job cancellation,
-// structured progress reporting, periodic checkpointing, and a
-// persistent ledger so a killed process re-enqueues interrupted jobs at
-// the next boot.
+// long-running work (censuses) as background jobs with a bounded worker
+// pool, a priority FIFO queue, per-job cancellation, structured progress
+// reporting, periodic checkpointing, and a persistent ledger so a
+// killed process re-enqueues interrupted jobs at the next boot.
 //
 // The package is deliberately engine-agnostic: a job type is just a name
 // mapped to a Runner, and checkpointing is an opaque callback. The
@@ -55,8 +54,8 @@ func (s State) Terminal() bool {
 // Spec describes one job: its type plus the union of per-type
 // parameters. Unknown fields for a type are ignored by its runner.
 type Spec struct {
-	// Type selects the runner ("census", "path-census", "rooted-census",
-	// "landscape" in the service wiring).
+	// Type selects the runner ("census", "path-census" or
+	// "rooted-census" in the service wiring).
 	Type string `json:"type"`
 	// K is the alphabet size (census, path-census, rooted-census).
 	K int `json:"k,omitempty"`
@@ -66,10 +65,6 @@ type Spec struct {
 	Delta int `json:"delta,omitempty"`
 	// MaxRadius bounds anonymous synthesis (rooted-census).
 	MaxRadius int `json:"max_radius,omitempty"`
-	// Sizes are the instance sizes of a landscape sweep.
-	Sizes []int `json:"sizes,omitempty"`
-	// Seed seeds randomized witnesses (landscape).
-	Seed int64 `json:"seed,omitempty"`
 	// Priority orders the queue: higher runs first; equal priorities run
 	// in submission order (FIFO).
 	Priority int `json:"priority,omitempty"`

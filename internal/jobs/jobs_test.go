@@ -81,7 +81,7 @@ func TestPriorityFIFOOrder(t *testing.T) {
 		},
 		"note": func(ctx context.Context, spec Spec, report Report) (any, error) {
 			mu.Lock()
-			order = append(order, fmt.Sprintf("p%d-s%d", spec.Priority, spec.Seed))
+			order = append(order, fmt.Sprintf("p%d-k%d", spec.Priority, spec.K))
 			mu.Unlock()
 			return nil, nil
 		},
@@ -89,10 +89,10 @@ func TestPriorityFIFOOrder(t *testing.T) {
 	defer m.Close()
 	g, _ := m.Submit(Spec{Type: "gate"})
 	// Two priorities, two jobs each, submitted interleaved.
-	m.Submit(Spec{Type: "note", Priority: 0, Seed: 1})
-	m.Submit(Spec{Type: "note", Priority: 5, Seed: 1})
-	m.Submit(Spec{Type: "note", Priority: 0, Seed: 2})
-	last, _ := m.Submit(Spec{Type: "note", Priority: 5, Seed: 2})
+	m.Submit(Spec{Type: "note", Priority: 0, K: 1})
+	m.Submit(Spec{Type: "note", Priority: 5, K: 1})
+	m.Submit(Spec{Type: "note", Priority: 0, K: 2})
+	last, _ := m.Submit(Spec{Type: "note", Priority: 5, K: 2})
 	close(gate)
 	waitState(t, m, g.ID, StateDone)
 	waitState(t, m, last.ID, StateDone)
@@ -109,7 +109,7 @@ func TestPriorityFIFOOrder(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	want := []string{"p5-s1", "p5-s2", "p0-s1", "p0-s2"}
+	want := []string{"p5-k1", "p5-k2", "p0-k1", "p0-k2"}
 	if len(order) != 4 {
 		t.Fatalf("ran %d jobs, want 4", len(order))
 	}
@@ -405,6 +405,27 @@ func TestRestoreUnknownTypeFailsJob(t *testing.T) {
 		t.Errorf("unknown-type job restored as %+v, want failed with error", j)
 	}
 	waitState(t, m, "j000001", StateDone)
+
+	// A ledger written before the landscape job type left the server
+	// still loads: the spec's dropped fields are ignored, and restore
+	// fails the job it has no runner for.
+	path := filepath.Join(t.TempDir(), "ledger.json")
+	old := `{"version":1,"next_seq":1,"jobs":[{"id":"j000000","seq":0,` +
+		`"spec":{"type":"landscape","sizes":[64],"seed":1},"state":"pending","progress":{"done":0},"attempts":0,"created_unix":1}]}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadLedger(path)
+	if err != nil {
+		t.Fatalf("ledger naming a retired job type rejected: %v", err)
+	}
+	m2 := New(Config{Ledger: loaded, Runners: map[string]Runner{
+		"noop": func(ctx context.Context, spec Spec, report Report) (any, error) { return nil, nil },
+	}})
+	defer m2.Close()
+	if j, ok := m2.Get("j000000"); !ok || j.State != StateFailed || !strings.Contains(j.Error, `"landscape"`) {
+		t.Errorf("retired-type job restored as %+v, want failed naming the type", j)
+	}
 }
 
 func TestLoadLedgerRejectsDamage(t *testing.T) {

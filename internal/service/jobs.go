@@ -1,6 +1,6 @@
 // Job orchestration wiring: the engine's long-running workloads —
-// censuses over whole problem spaces plus landscape sweeps — exposed as
-// resumable background jobs (internal/jobs).
+// censuses over whole problem spaces — exposed as resumable background
+// jobs (internal/jobs).
 //
 // The census job table is built generically from the decider registry:
 // any registered decider implementing CensusRunner contributes one job
@@ -18,10 +18,8 @@ package service
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/jobs"
-	"repro/internal/landscape"
 	"repro/internal/obs"
 	"repro/internal/rooted"
 )
@@ -39,9 +37,6 @@ const (
 	// JobRootedCensus is the rooted-tree census (Spec.Delta, Spec.K,
 	// Spec.MaxRadius), contributed by the rooted decider.
 	JobRootedCensus = "rooted-census"
-	// JobLandscape regenerates the Figure-1 landscape panels (Spec.Sizes,
-	// Spec.Seed).
-	JobLandscape = "landscape"
 )
 
 // CensusRunner is the optional decider capability behind census jobs: a
@@ -73,11 +68,9 @@ func (e *Engine) censusRunners() map[string]CensusRunner {
 }
 
 // runners builds the engine's job-type table: one generic census runner
-// per census-capable decider, plus the landscape sweep.
+// per census-capable decider.
 func (e *Engine) runners() map[string]jobs.Runner {
-	table := map[string]jobs.Runner{
-		JobLandscape: e.runLandscapeJob,
-	}
+	table := map[string]jobs.Runner{}
 	for jobType, cr := range e.censusRunners() {
 		cr := cr
 		table[jobType] = func(ctx context.Context, spec jobs.Spec, report jobs.Report) (any, error) {
@@ -92,14 +85,6 @@ func (e *Engine) runners() map[string]jobs.Runner {
 func (e *Engine) ValidateJobSpec(spec jobs.Spec) error {
 	if cr, ok := e.censusRunners()[spec.Type]; ok {
 		return cr.ValidateCensusSpec(spec)
-	}
-	if spec.Type == JobLandscape {
-		for _, n := range spec.Sizes {
-			if n < 4 {
-				return fmt.Errorf("service: landscape job size %d too small (want >= 4)", n)
-			}
-		}
-		return nil
 	}
 	return fmt.Errorf("service: unknown job type %q", spec.Type)
 }
@@ -288,59 +273,5 @@ func (rootedDecider) RunCensusJob(ctx context.Context, e *Engine, spec jobs.Spec
 	for cl, n := range c.ByClass {
 		res.Classes[cl.String()] = n
 	}
-	return res, nil
-}
-
-// ---------------------------------------------------------------------
-// landscape
-
-// landscapeJobResult is the JSON shape of a finished landscape job: the
-// measured panels, directly marshalled (Panel and Series are plain
-// exported structs).
-type landscapeJobResult struct {
-	Sizes  []int              `json:"sizes"`
-	Seed   int64              `json:"seed"`
-	Panels []*landscape.Panel `json:"panels"`
-}
-
-// defaultLandscapeSizes is the sweep used when a landscape spec leaves
-// Sizes empty.
-var defaultLandscapeSizes = []int{64, 256, 1024}
-
-// runLandscapeJob regenerates the Figure-1 panels, one phase per panel.
-func (e *Engine) runLandscapeJob(ctx context.Context, spec jobs.Spec, report jobs.Report) (any, error) {
-	sizes := spec.Sizes
-	if len(sizes) == 0 {
-		sizes = defaultLandscapeSizes
-	}
-	sizes = append([]int(nil), sizes...)
-	sort.Ints(sizes)
-	maxN := sizes[len(sizes)-1]
-	var sides []int
-	for s := 4; s*s <= maxN; s *= 2 {
-		sides = append(sides, s)
-	}
-	phases := []struct {
-		name string
-		run  func() (*landscape.Panel, error)
-	}{
-		{"trees", func() (*landscape.Panel, error) { return landscape.TreesLocal(sizes, spec.Seed) }},
-		{"grids", func() (*landscape.Panel, error) { return landscape.GridsLocal(sides, spec.Seed) }},
-		{"general", func() (*landscape.Panel, error) { return landscape.GeneralLocal(sizes) }},
-		{"volume", func() (*landscape.Panel, error) { return landscape.VolumeModel(sizes, spec.Seed) }},
-	}
-	res := landscapeJobResult{Sizes: sizes, Seed: spec.Seed}
-	for i, ph := range phases {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		report(ph.name, int64(i), int64(len(phases)))
-		p, err := ph.run()
-		if err != nil {
-			return nil, fmt.Errorf("landscape %s: %w", ph.name, err)
-		}
-		res.Panels = append(res.Panels, p)
-	}
-	report("done", int64(len(phases)), int64(len(phases)))
 	return res, nil
 }

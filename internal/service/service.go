@@ -124,10 +124,9 @@ type Config struct {
 	// Workers is the size of the batch worker pool (<= 0 selects 4).
 	Workers int
 	// CacheShards and CacheCapacity size the memo cache (memo defaults
-	// when zero). Cache overrides both with an externally shared cache.
+	// when zero).
 	CacheShards   int
 	CacheCapacity int
-	Cache         *memo.Cache
 	// Snapshot, when non-nil, warm-starts the engine: memo entries are
 	// imported into the cache (with lifetime counters preserved), census
 	// results are restored and served without recomputation, and census
@@ -162,10 +161,6 @@ type Config struct {
 	// internal/jobs). Pair it with Snapshot so re-enqueued censuses
 	// resume warm.
 	JobsLedger *jobs.Ledger
-	// CheckpointEvery is the running-job checkpoint interval (the jobs
-	// default when zero). Checkpoints save the engine snapshot, so they
-	// only happen when SnapshotPath is set.
-	CheckpointEvery time.Duration
 	// Obs supplies the observability surface (metrics registry, trace
 	// ring, structured logger). Nil builds a private obs.NewSet, so an
 	// engine is always instrumented unless DisableObs opts out.
@@ -277,10 +272,7 @@ func New(cfg Config) *Engine {
 	if workers <= 0 {
 		workers = DefaultWorkers
 	}
-	cache := cfg.Cache
-	if cache == nil {
-		cache = memo.New(cfg.CacheShards, cfg.CacheCapacity)
-	}
+	cache := memo.New(cfg.CacheShards, cfg.CacheCapacity)
 	registry := cfg.Registry
 	if registry == nil {
 		registry = DefaultRegistry()
@@ -338,11 +330,10 @@ func New(cfg Config) *Engine {
 		}()
 	}
 	jcfg := jobs.Config{
-		Workers:         cfg.JobWorkers,
-		Runners:         e.runners(),
-		LedgerPath:      cfg.JobsLedgerPath,
-		Ledger:          cfg.JobsLedger,
-		CheckpointEvery: cfg.CheckpointEvery,
+		Workers:    cfg.JobWorkers,
+		Runners:    e.runners(),
+		LedgerPath: cfg.JobsLedgerPath,
+		Ledger:     cfg.JobsLedger,
 	}
 	if e.snapshotPath != "" {
 		jcfg.Checkpoint = func() error {

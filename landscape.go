@@ -208,8 +208,7 @@ func NewClassificationEngine(cfg ServiceConfig) *ClassificationEngine { return s
 
 // Background job orchestration (see internal/jobs and the engine's
 // SubmitJob / GetJob / ListJobs / CancelJob / WatchJob methods): the
-// expensive workloads — censuses, landscape sweeps — as resumable,
-// observable background jobs with progress streaming and
+// expensive census workloads as resumable, observable background jobs with progress streaming and
 // checkpoint/resume through the snapshot store.
 type (
 	JobSpec  = jobs.Spec
@@ -222,7 +221,6 @@ const (
 	JobCensus       = service.JobCensus
 	JobPathCensus   = service.JobPathCensus
 	JobRootedCensus = service.JobRootedCensus
-	JobLandscape    = service.JobLandscape
 )
 
 // SynthesizeCycleAlgorithm searches radii 0..rMax for an order-invariant
