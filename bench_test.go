@@ -179,8 +179,8 @@ func BenchmarkGapPipelineTrees(b *testing.B) {
 }
 
 // TestGapPipelineAllocs is the allocation budget for a cold trees
-// compute: the gap pipeline on MIS at Δ=2, two levels, stays within
-// 60 000 allocations.
+// compute: the gap pipeline on MIS at Δ=2, two levels, stays within 560
+// allocations (509 measured with Go 1.24 on linux/amd64).
 func TestGapPipelineAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the budget is set for non-race builds")
@@ -192,8 +192,8 @@ func TestGapPipelineAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 60_000 {
-		t.Errorf("RunGapPipeline(mis, Δ=2, 2 levels): %v allocs, want <= 60000", allocs)
+	if allocs > 560 {
+		t.Errorf("RunGapPipeline(mis, Δ=2, 2 levels): %v allocs, want <= 560", allocs)
 	}
 }
 

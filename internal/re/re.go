@@ -1,7 +1,6 @@
 package re
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -264,29 +263,19 @@ func prunedSeeds(tab *table, op Op, full Set, lim Limits) ([]Set, error) {
 // configurations it pops.
 func maximalUniversalNodeConfigs(n *nodeTable, full Set, lim Limits) ([][]Set, error) {
 	d := n.d
-	seen := map[string]struct{}{}
-	var queue [][]Set
-	var store []Set // chunk the queued configurations are copied into
-	sorted := make([]Set, d)
-	key := make([]byte, 0, 8*d)
+	if d == 1 {
+		return maximalDegreeOne(n.one, lim)
+	}
+	seen := newConfigSet(d, len(n.configs))
+	var queue []Set // d sets per queued configuration
+	queued := 0     // counted rather than len(queue)/d, which fails at d = 0
 	// push queues a copy of cfg unless an equal configuration, as a sorted
 	// multiset of sets, was queued before.
 	push := func(cfg []Set) {
-		copy(sorted, cfg)
-		slices.Sort(sorted)
-		key = key[:0]
-		for _, s := range sorted {
-			key = binary.LittleEndian.AppendUint64(key, uint64(s))
+		if seen.add(cfg) {
+			queue = append(queue, cfg...)
+			queued++
 		}
-		if _, dup := seen[string(key)]; dup {
-			return
-		}
-		seen[string(key)] = struct{}{}
-		if cap(store)-len(store) < d {
-			store = make([]Set, 0, max(2*cap(store), 16*d))
-		}
-		store = append(store, cfg...)
-		queue = append(queue, store[len(store)-d:len(store):len(store)])
 	}
 	next := make([]Set, d)
 	for _, m := range n.configs {
@@ -296,15 +285,18 @@ func maximalUniversalNodeConfigs(n *nodeTable, full Set, lim Limits) ([][]Set, e
 		push(next)
 	}
 	sc := newSelScratch(d)
-	var maximal [][]Set
+	cfg := make([]Set, d)
+	var maximal []Set // d sets per maximal configuration
+	nmax := 0         // counted, like queued
 	iter := 0
-	for len(queue) > 0 {
+	for queued > 0 {
 		iter++
 		if iter > lim.MaxExpandIter {
 			return nil, fmt.Errorf("re: maximal-config search exceeded %d states at degree %d", lim.MaxExpandIter, d)
 		}
-		cfg := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
+		queued--
+		copy(cfg, queue[len(queue)-d:])
+		queue = queue[:len(queue)-d]
 		expanded := false
 		for i := range cfg {
 			// cfg is universal, so adding x at coordinate i keeps it
@@ -319,10 +311,109 @@ func maximalUniversalNodeConfigs(n *nodeTable, full Set, lim Limits) ([][]Set, e
 			}
 		}
 		if !expanded {
-			maximal = append(maximal, cfg)
+			maximal = append(maximal, cfg...)
+			nmax++
 		}
 	}
-	return maximal, nil
+	out := make([][]Set, nmax)
+	for j := range out {
+		out[j] = maximal[j*d : (j+1)*d : (j+1)*d]
+	}
+	return out, nil
+}
+
+// maximalDegreeOne is the degree-1 search in closed form. Every label of
+// one completes the empty prefix, so from the singletons of one the search
+// pops each nonempty subset of one exactly once, 2^|one| − 1 states, and
+// only one itself cannot grow.
+func maximalDegreeOne(one Set, lim Limits) ([][]Set, error) {
+	if one.Empty() {
+		return nil, nil
+	}
+	if states := uint64(1)<<uint(one.Count()) - 1; lim.MaxExpandIter < 0 || states > uint64(lim.MaxExpandIter) {
+		return nil, fmt.Errorf("re: maximal-config search exceeded %d states at degree %d", lim.MaxExpandIter, 1)
+	}
+	return [][]Set{{one}}, nil
+}
+
+// configSet is the set of configurations, as sorted multisets of sets,
+// that the maximal-configuration search has queued. It keeps each one
+// sorted in an append-only slab of d Sets per configuration, and finds
+// an equal one in expected constant time through slots, an
+// open-addressed, linearly probed table over the sorted form's hash; a
+// slot holds a configuration's number plus one, 0 if empty.
+type configSet struct {
+	d      int
+	count  int32
+	sorted []Set
+	slots  []int32
+	shift  uint // 64 − log2(len(slots)): a hash's top bits pick its slot
+}
+
+func newConfigSet(d, hint int) *configSet {
+	size := 64
+	for size < 4*hint {
+		size *= 2
+	}
+	return &configSet{d: d, slots: make([]int32, size), shift: uint(64 - bits.TrailingZeros(uint(size)))}
+}
+
+// add adds cfg's sorted form unless it is present, and reports whether
+// it was added.
+func (c *configSet) add(cfg []Set) bool {
+	if 2*int(c.count+1) > len(c.slots) {
+		c.grow()
+	}
+	// The sorted form goes on the slab's end, and is dropped again if it
+	// is a duplicate.
+	n := len(c.sorted)
+	c.sorted = append(c.sorted, cfg...)
+	key := c.sorted[n:]
+	for i := 1; i < len(key); i++ { // insertion sort: d is small
+		for j := i; j > 0 && key[j] < key[j-1]; j-- {
+			key[j], key[j-1] = key[j-1], key[j]
+		}
+	}
+	mask := len(c.slots) - 1
+	for i := int(hashSets(key) >> c.shift); ; i = (i + 1) & mask {
+		e := c.slots[i]
+		if e == 0 {
+			c.count++
+			c.slots[i] = c.count
+			return true
+		}
+		j := int(e-1) * c.d
+		if slices.Equal(c.sorted[j:j+c.d], key) {
+			c.sorted = c.sorted[:n]
+			return false
+		}
+	}
+}
+
+// grow doubles the slot table and reinserts every configuration.
+func (c *configSet) grow() {
+	c.slots = make([]int32, 2*len(c.slots))
+	c.shift--
+	mask := len(c.slots) - 1
+	for k := int32(0); k < c.count; k++ {
+		j := int(k) * c.d
+		i := int(hashSets(c.sorted[j:j+c.d]) >> c.shift)
+		for c.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		c.slots[i] = k + 1
+	}
+}
+
+// hashSets mixes a configuration's sets into 64 bits whose top bits
+// depend on every input bit.
+func hashSets(sets []Set) uint64 {
+	h := uint64(len(sets))
+	for _, s := range sets {
+		h = (h ^ uint64(s)) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
+	return h * 0x9e3779b97f4a7c15
 }
 
 // setName renders a new label's meaning with base label names.

@@ -2,6 +2,7 @@ package re
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/lcl"
@@ -131,8 +132,7 @@ func RunGapPipeline(base *lcl.Problem, degrees []int, mode Mode, lim Limits, max
 	if err != nil {
 		return &GapResult{Verdict: VerdictInconclusive, Seq: seq, Reason: err.Error()}, nil
 	}
-	canon := []string{canonical(base, tab)}
-	tabs := []*table{tab}
+	levels := []*gapLevel{newGapLevel(base, tab)}
 	if w, ok := zeroRound(base, tab, degrees); ok {
 		return &GapResult{Verdict: VerdictConstant, Level: 0, Witness: w, Seq: seq}, nil
 	}
@@ -144,24 +144,56 @@ func RunGapPipeline(base *lcl.Problem, degrees []int, mode Mode, lim Limits, max
 			// reason, rather than failing the pipeline.
 			return &GapResult{Verdict: VerdictInconclusive, Level: t - 1, Seq: seq, Reason: err.Error()}, nil
 		}
-		cur := seq.ProblemAt(t)
-		curTab := seq.Steps[2*t-1].tab
-		if w, ok := zeroRound(cur, curTab, degrees); ok {
+		cur := newGapLevel(seq.ProblemAt(t), seq.Steps[2*t-1].tab)
+		if w, ok := zeroRound(cur.p, cur.tab, degrees); ok {
 			return &GapResult{Verdict: VerdictConstant, Level: t, Witness: w, Seq: seq}, nil
 		}
-		c := canonical(cur, curTab)
-		for earlier, ec := range canon {
-			if ec != c {
+		for earlier, e := range levels {
+			if !slices.Equal(e.shape, cur.shape) || e.canonical() != cur.canonical() {
 				continue
 			}
-			if isomorphic(seq.ProblemAt(earlier), tabs[earlier], cur, curTab) {
+			if isomorphic(e.p, e.tab, cur.p, cur.tab) {
 				return &GapResult{Verdict: VerdictCycle, Level: t, CycleWith: earlier, Seq: seq}, nil
 			}
 		}
-		canon = append(canon, c)
-		tabs = append(tabs, curTab)
+		levels = append(levels, cur)
 	}
 	return &GapResult{Verdict: VerdictInconclusive, Level: maxLevels, Seq: seq}, nil
+}
+
+// gapLevel is one level f^t(Π) of the gap pipeline, with what the repeat
+// check compares. Canonical strings are costly, and the levels of a
+// pipeline mostly differ in size, so each level carries a
+// renaming-invariant shape, every part of which its canonical string
+// spells out: the label count, the configuration count per degree, the
+// edge count and each |g(in)|. Equal canonical strings imply equal
+// shapes, so a level's canonical string is built only once another
+// level's shape equals its own.
+type gapLevel struct {
+	p     *lcl.Problem
+	tab   *table
+	shape []int
+	canon string // built by canonical on first use
+}
+
+func newGapLevel(p *lcl.Problem, tab *table) *gapLevel {
+	shape := make([]int, 0, 3+2*len(tab.degrees)+len(tab.g))
+	shape = append(shape, p.NumOut(), len(tab.degrees))
+	for _, d := range tab.degrees {
+		shape = append(shape, d, len(p.Node[d]))
+	}
+	shape = append(shape, len(p.Edge))
+	for _, gm := range tab.g {
+		shape = append(shape, gm.Count())
+	}
+	return &gapLevel{p: p, tab: tab, shape: shape}
+}
+
+func (l *gapLevel) canonical() string {
+	if l.canon == "" {
+		l.canon = canonical(l.p, l.tab)
+	}
+	return l.canon
 }
 
 // SolveConstant runs the reconstructed constant-round algorithm end to

@@ -20,9 +20,19 @@ import (
 	"repro/internal/jobs"
 )
 
+// maxJobBody bounds a job submission, a spec of a few short fields.
+const maxJobBody = 4 << 10
+
 func (e *Engine) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
+	body, ok := readBody(w, r, maxJobBody)
+	if !ok {
+		return
+	}
+	defer putBody(body)
 	var spec jobs.Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		httpError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}

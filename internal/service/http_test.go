@@ -457,7 +457,8 @@ func TestHTTPRoundTripThroughCodec(t *testing.T) {
 // pinnedRows are the request bodies whose exact replies
 // TestHTTPRepliesPinned holds to testdata/http_pinned.json. They cover
 // decode failures and inputs that only the encoding/json decoder
-// accepts (escaped names, case-variant keys, trailing bytes).
+// accepts (escaped names, case-variant keys, trailing bytes), and the
+// rejected job submissions.
 func pinnedRows() []struct{ route, name, body string } {
 	const good = `{"name":"2col","in_alphabet":["·"],"out_alphabet":["A","B"],` +
 		`"node_constraints":{"2":["A A","B B"]},"edge_constraints":["A B"],"g":{"·":["A","B"]}}`
@@ -485,6 +486,9 @@ func pinnedRows() []struct{ route, name, body string } {
 		struct{ route, name, body string }{"/v1/classify", "trailing-bytes", ok + ` x`},
 		struct{ route, name, body string }{"/v1/classify/batch", "trailing-bytes", `{"requests":[` + ok + `]} x`},
 		struct{ route, name, body string }{"/v1/classify/batch", "one-bad-item", `{"requests":[` + ok + `,` + items[1].body + `]}`},
+		struct{ route, name, body string }{"/v1/jobs", "body-too-large", `{"type":"` + strings.Repeat("x", maxJobBody) + `"}`},
+		struct{ route, name, body string }{"/v1/jobs", "unknown-field", `{"type":"census","k":1,"sizes":[64]}`},
+		struct{ route, name, body string }{"/v1/jobs", "long-unknown-type", `{"type":"a` + strings.Repeat("é", 100) + `"}`},
 	)
 }
 
@@ -507,9 +511,11 @@ func servePinned(route, body string) pinnedReply {
 }
 
 // TestHTTPRepliesPinned holds the status and exact body of every pinned
-// row on both classify routes to the file recorded before the one-pass
-// request decoder existed: error bodies come from the encoding/json
-// path, and inputs the fast path declines still succeed.
+// row to testdata/http_pinned.json. The classify rows were recorded
+// before the one-pass request decoder existed: error bodies come from
+// the encoding/json path, and inputs the fast path declines still
+// succeed. The job rows pin the submission route's bounds: an oversized
+// body, an unknown field and a long unknown type.
 func TestHTTPRepliesPinned(t *testing.T) {
 	raw, err := os.ReadFile("testdata/http_pinned.json")
 	if err != nil {

@@ -18,6 +18,8 @@ package service
 import (
 	"context"
 	"fmt"
+	"strconv"
+	"unicode/utf8"
 
 	"repro/internal/jobs"
 	"repro/internal/obs"
@@ -86,7 +88,23 @@ func (e *Engine) ValidateJobSpec(spec jobs.Spec) error {
 	if cr, ok := e.censusRunners()[spec.Type]; ok {
 		return cr.ValidateCensusSpec(spec)
 	}
-	return fmt.Errorf("service: unknown job type %q", spec.Type)
+	return fmt.Errorf("service: unknown job type %s", quotePrefix(spec.Type, maxQuotedType))
+}
+
+// maxQuotedType bounds how much of an unknown job type an error quotes.
+const maxQuotedType = 64
+
+// quotePrefix quotes s, or, when s is longer than n bytes, its longest
+// prefix of whole runes within n bytes, followed by s's length.
+func quotePrefix(s string, n int) string {
+	if len(s) <= n {
+		return strconv.Quote(s)
+	}
+	cut := n
+	for cut > 0 && !utf8.RuneStart(s[cut]) {
+		cut--
+	}
+	return fmt.Sprintf("%q… (%d bytes)", s[:cut], len(s))
 }
 
 // SubmitJob validates and enqueues a job.

@@ -41,6 +41,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"unsafe"
 
@@ -498,6 +499,10 @@ func (t *SealedTable) readSection(payload []byte, zeroCopy bool) (string, []byte
 		return name, nil, fmt.Errorf("aux pool declares %d bytes, %d remain", auxLen, len(payload))
 	}
 	aux := payload[:auxLen]
+	// count is bounded by the payload checked above, so the arrays can be
+	// sized for the whole section up front.
+	t.keys = slices.Grow(t.keys, count)
+	t.values = slices.Grow(t.values, count)
 	var prev uint64
 	for i := 0; i < count; i++ {
 		fp := binary.BigEndian.Uint64(fpBytes[8*i:])
