@@ -1,6 +1,7 @@
 package re
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -144,5 +145,46 @@ func TestGapPipelineReasonDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(first, "exceeded 1 states at degree 1") {
 		t.Errorf("reason %q does not name degree 1", first)
+	}
+}
+
+// TestGapPipelineDelta3Reasons pins the verdict, level and Reason of the
+// Δ=3 battery at two levels, among them the budget-exhausting search of
+// 4-coloring and the intersection closure of 5-edge-coloring that the
+// label cap rejects.
+func TestGapPipelineDelta3Reasons(t *testing.T) {
+	const capped = "re: extending with R at level 1: re: R produced %d candidate labels (cap 63); use Pruned mode or a smaller problem"
+	want := map[string]struct {
+		verdict Verdict
+		level   int
+		reason  string
+	}{
+		"trivial":                    {VerdictConstant, 0, ""},
+		"3-coloring":                 {VerdictInconclusive, 1, fmt.Sprintf(capped, 80)},
+		"4-coloring":                 {VerdictInconclusive, 0, "re: extending with R̄ at level 0: re: maximal-config search exceeded 200000 states at degree 2"},
+		"2-coloring":                 {VerdictInconclusive, 2, ""},
+		"mis":                        {VerdictInconclusive, 2, ""},
+		"maximal-matching":           {VerdictInconclusive, 2, ""},
+		"sinkless-orientation":       {VerdictCycle, 2, ""},
+		"consistent-orientation":     {VerdictInconclusive, 2, ""},
+		"edge-grouping":              {VerdictConstant, 0, ""},
+		"forbid-list-3-coloring":     {VerdictInconclusive, 1, fmt.Sprintf(capped, 95)},
+		"free-orientation":           {VerdictConstant, 1, ""},
+		"5-edge-coloring":            {VerdictInconclusive, 1, fmt.Sprintf(capped, 7579)},
+		"at-most-one-incoming":       {VerdictCycle, 2, ""},
+		"independence-no-maximality": {VerdictConstant, 0, ""},
+	}
+	for _, p := range problems.All(3) {
+		res, err := RunGapPipeline(p, []int{1, 2, 3}, Pruned, Limits{}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, ok := want[p.Name]
+		if !ok {
+			t.Fatalf("%s: not in the table", p.Name)
+		}
+		if res.Verdict != w.verdict || res.Level != w.level || res.Reason != w.reason {
+			t.Errorf("%s: %v at level %d, %q; want %v at level %d, %q", p.Name, res.Verdict, res.Level, res.Reason, w.verdict, w.level, w.reason)
+		}
 	}
 }

@@ -88,33 +88,84 @@ func AllSubsets(universe Set, fn func(Set) bool) {
 // the closed sets of the edge-constraint closure used by pruned round
 // elimination), deduplicated, with empty sets dropped.
 func IntersectionClosure(rows []Set) []Set {
-	seen := map[Set]bool{}
+	var seen setTable
 	var family []Set
-	add := func(s Set) bool {
-		if s.Empty() || seen[s] {
-			return false
-		}
-		seen[s] = true
-		family = append(family, s)
-		return true
-	}
 	for _, r := range rows {
-		add(r)
-	}
-	// Close under pairwise intersection.
-	for changed := true; changed; {
-		changed = false
-		// Iterate over a snapshot; new elements get processed next sweep.
-		snapshot := append([]Set(nil), family...)
-		for i := 0; i < len(snapshot); i++ {
-			for j := i + 1; j < len(snapshot); j++ {
-				if add(snapshot[i].Inter(snapshot[j])) {
-					changed = true
-				}
+		// family holds every intersection of the earlier rows, so every
+		// new one is r itself or r ∩ f for a member f. If r is already a
+		// member, r ∩ f is too.
+		n := len(family)
+		if !seen.add(r) {
+			continue
+		}
+		family = append(family, r)
+		for _, f := range family[:n] {
+			if c := f & r; seen.add(c) {
+				family = append(family, c)
 			}
 		}
 	}
 	return family
+}
+
+// setTable is a set of nonempty Sets: an open-addressed, linearly probed
+// table in which 0 marks an empty slot. The zero value is empty.
+type setTable struct {
+	slots []Set
+	count int
+	shift uint // 64 − log2(len(slots))
+}
+
+// add adds s unless it is empty or present, and reports whether it did.
+func (t *setTable) add(s Set) bool {
+	if s == 0 {
+		return false
+	}
+	if 2*(t.count+1) > len(t.slots) {
+		t.grow()
+	}
+	mask := len(t.slots) - 1
+	for i := firstSlot(mixWord(0, uint64(s)), t.shift); ; i = (i + 1) & mask {
+		switch t.slots[i] {
+		case 0:
+			t.slots[i] = s
+			t.count++
+			return true
+		case s:
+			return false
+		}
+	}
+}
+
+// grow doubles the table, from 8 slots, and reinserts every set.
+func (t *setTable) grow() {
+	old := t.slots
+	size := max(8, 2*len(old))
+	t.slots = make([]Set, size)
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	mask := size - 1
+	for _, s := range old {
+		if s != 0 {
+			i := firstSlot(mixWord(0, uint64(s)), t.shift)
+			for t.slots[i] != 0 {
+				i = (i + 1) & mask
+			}
+			t.slots[i] = s
+		}
+	}
+}
+
+// mixWord folds a word into a hash.
+func mixWord(h, w uint64) uint64 {
+	h = (h ^ w) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
+}
+
+// firstSlot returns the slot of a table of 2^(64−shift) slots at which
+// probing for hash h starts: the top bits of a last mix, which depend on
+// every bit of h.
+func firstSlot(h uint64, shift uint) int {
+	return int(h * 0x9e3779b97f4a7c15 >> shift)
 }
 
 // Multiset of label ids, sorted ascending, used for configurations over

@@ -13,8 +13,8 @@ import (
 )
 
 // maximalConfigsOracle is the string-keyed maximal-configuration search
-// that the slab-indexed one replaced, kept as the reference for its
-// output, its error and, through pops, the number of states it pops.
+// that the reverse search replaced, kept as the reference for its output,
+// its error and, through pops, the number of states it pops.
 func maximalConfigsOracle(n *nodeTable, full Set, lim Limits) (maximal [][]Set, pops int, err error) {
 	d := n.d
 	seen := map[string]struct{}{}
@@ -75,8 +75,8 @@ func maximalConfigsOracle(n *nodeTable, full Set, lim Limits) (maximal [][]Set, 
 }
 
 // sameResult fails t unless the search's result, got and gotErr, is
-// the oracle's: the same maximal configurations in the same order, or
-// the same error.
+// the oracle's: the same maximal configurations, as a set of sorted
+// multisets of sets, or the same error.
 func sameResult(t *testing.T, what string, got [][]Set, gotErr error, want [][]Set, wantErr error) {
 	t.Helper()
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
@@ -85,11 +85,23 @@ func sameResult(t *testing.T, what string, got [][]Set, gotErr error, want [][]S
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d maximal configurations, oracle %d", what, len(got), len(want))
 	}
+	got, want = sortedConfigs(got), sortedConfigs(want)
 	for i := range got {
 		if !slices.Equal(got[i], want[i]) {
-			t.Fatalf("%s: maximal configuration %d is %v, oracle %v", what, i, got[i], want[i])
+			t.Fatalf("%s: maximal configuration %d (in sorted order) is %v, oracle %v", what, i, got[i], want[i])
 		}
 	}
+}
+
+// sortedConfigs returns a copy of configs with each configuration sorted
+// and the list sorted lexicographically.
+func sortedConfigs(configs [][]Set) [][]Set {
+	out := make([][]Set, len(configs))
+	for i, cfg := range configs {
+		out[i] = slices.Sorted(slices.Values(cfg))
+	}
+	slices.SortFunc(out, slices.Compare[[]Set])
+	return out
 }
 
 // fuzzNodeTable builds a node table from fuzz bytes: a degree in {1, 2, 3},

@@ -3,6 +3,7 @@ package re
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -53,6 +54,58 @@ func TestAllSubsetsEnumeratesPowerSet(t *testing.T) {
 		})
 		// AllSubsets enumerates the *nonempty* subsets.
 		return count == 1<<uint(bits.OnesCount64(uint64(u)))-1 && len(seen) == count
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// intersectionClosureSweep is the closure IntersectionClosure replaced:
+// full pairwise sweeps over a snapshot of the family until one adds
+// nothing. It is the oracle for the worklist's family, as a set.
+func intersectionClosureSweep(rows []Set) []Set {
+	seen := map[Set]bool{}
+	var family []Set
+	add := func(s Set) bool {
+		if s.Empty() || seen[s] {
+			return false
+		}
+		seen[s] = true
+		family = append(family, s)
+		return true
+	}
+	for _, r := range rows {
+		add(r)
+	}
+	for changed := true; changed; {
+		changed = false
+		snapshot := append([]Set(nil), family...)
+		for i := 0; i < len(snapshot); i++ {
+			for j := i + 1; j < len(snapshot); j++ {
+				if add(snapshot[i].Inter(snapshot[j])) {
+					changed = true
+				}
+			}
+		}
+	}
+	return family
+}
+
+// TestIntersectionClosureMatchesSweep checks the worklist closure against
+// the sweeping one on random rows: the same family as a set, without
+// repeats.
+func TestIntersectionClosureMatchesSweep(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		rows := make([]Set, rng.Intn(14))
+		width := 1 + rng.Intn(20)
+		for i := range rows {
+			rows[i] = Set(rng.Int63n(1 << width))
+		}
+		got, want := IntersectionClosure(rows), intersectionClosureSweep(rows)
+		slices.Sort(got)
+		slices.Sort(want)
+		return slices.Equal(got, want) && len(slices.Compact(got)) == len(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

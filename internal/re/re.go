@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/lcl"
@@ -104,16 +103,15 @@ func apply(base *lcl.Problem, tab *table, op Op, mode Mode, lim Limits) (*Step, 
 			cand = append(cand, s)
 			return true
 		})
-		sort.Slice(cand, func(i, j int) bool { return cand[i] < cand[j] })
+		slices.Sort(cand)
 	case Pruned:
 		seeds, err := prunedSeeds(tab, op, full, lim)
 		if err != nil {
 			return nil, err
 		}
-		seen := map[Set]bool{}
+		var seen setTable
 		add := func(s Set) {
-			if !s.Empty() && !seen[s] {
-				seen[s] = true
+			if seen.add(s) {
 				cand = append(cand, s)
 			}
 		}
@@ -123,7 +121,7 @@ func apply(base *lcl.Problem, tab *table, op Op, mode Mode, lim Limits) (*Step, 
 				add(s.Inter(gm))
 			}
 		}
-		sort.Slice(cand, func(i, j int) bool { return cand[i] < cand[j] })
+		slices.Sort(cand)
 	}
 	if len(cand) > lim.MaxLabels {
 		return nil, fmt.Errorf("re: %s produced %d candidate labels (cap %d); use Pruned mode or a smaller problem", op, len(cand), lim.MaxLabels)
@@ -231,17 +229,11 @@ func prunedSeeds(tab *table, op Op, full Set, lim Limits) ([]Set, error) {
 	}
 	// R̄: node constraint is universal. Seeds are the coordinate sets of
 	// maximal configurations {A1,...,Ad} with A1 × ... × Ad ⊆ N^d,
-	// enumerated by BFS expansion from the base configurations. Degrees
+	// enumerated by a search grown from the base configurations. Degrees
 	// run in ascending order so an exhausted budget always names the
 	// same degree.
-	seen := map[Set]bool{}
+	var seen setTable
 	var seeds []Set
-	addSeed := func(s Set) {
-		if !s.Empty() && !seen[s] {
-			seen[s] = true
-			seeds = append(seeds, s)
-		}
-	}
 	for _, d := range tab.degrees {
 		maxCfgs, err := maximalUniversalNodeConfigs(tab.node[d], full, lim)
 		if err != nil {
@@ -249,7 +241,9 @@ func prunedSeeds(tab *table, op Op, full Set, lim Limits) ([]Set, error) {
 		}
 		for _, cfg := range maxCfgs {
 			for _, s := range cfg {
-				addSeed(s)
+				if seen.add(s) {
+					seeds = append(seeds, s)
+				}
 			}
 		}
 	}
@@ -258,56 +252,78 @@ func prunedSeeds(tab *table, op Op, full Set, lim Limits) ([]Set, error) {
 
 // maximalUniversalNodeConfigs enumerates the maximal (componentwise, as
 // sorted multisets of sets) configurations [A1..Ad] with every selection in
-// N^d, starting from the singleton configurations induced by N^d itself.
-// The search is depth-first (a LIFO queue); lim.MaxExpandIter bounds the
-// configurations it pops.
+// Nᵈ. It is a reverse search (Avis and Fukuda): it keeps every
+// configuration sorted by Set value, and gives each one with a coordinate
+// of two or more labels one parent, itself minus the highest label of its
+// largest such coordinate. Walking that tree of parents from its roots, the
+// distinct singleton configurations of Nᵈ, pops every universal
+// configuration exactly once, so the search needs no record of the
+// configurations it has seen. The walk is depth-first; lim.MaxExpandIter
+// bounds the configurations it pops.
 func maximalUniversalNodeConfigs(n *nodeTable, full Set, lim Limits) ([][]Set, error) {
 	d := n.d
 	if d == 1 {
 		return maximalDegreeOne(n.one, lim)
 	}
-	seen := newConfigSet(d, len(n.configs))
-	var queue []Set // d sets per queued configuration
-	queued := 0     // counted rather than len(queue)/d, which fails at d = 0
-	// push queues a copy of cfg unless an equal configuration, as a sorted
-	// multiset of sets, was queued before.
-	push := func(cfg []Set) {
-		if seen.add(cfg) {
-			queue = append(queue, cfg...)
-			queued++
+	// The stack holds d sets per configuration. The roots are sorted,
+	// since each multiset of Nᵈ is.
+	roots := distinctSorted(n.configs)
+	stack := make([]Set, 0, d*len(roots))
+	for _, m := range roots {
+		for _, a := range m {
+			stack = append(stack, SetOf(a))
 		}
 	}
-	next := make([]Set, d)
-	for _, m := range n.configs {
-		for i, a := range m {
-			next[i] = SetOf(a)
-		}
-		push(next)
-	}
+	queued := len(roots) // counted rather than len(stack)/d, which fails at d = 0
 	sc := newSelScratch(d)
 	cfg := make([]Set, d)
 	var maximal []Set // d sets per maximal configuration
 	nmax := 0         // counted, like queued
-	iter := 0
-	for queued > 0 {
-		iter++
-		if iter > lim.MaxExpandIter {
+	for pops := 1; queued > 0; pops++ {
+		if pops > lim.MaxExpandIter {
 			return nil, fmt.Errorf("re: maximal-config search exceeded %d states at degree %d", lim.MaxExpandIter, d)
 		}
 		queued--
-		copy(cfg, queue[len(queue)-d:])
-		queue = queue[:len(queue)-d]
+		copy(cfg, stack[len(stack)-d:])
+		stack = stack[:len(stack)-d]
+		// top is cfg's largest coordinate of two or more labels; cfg is
+		// sorted, so it is the last one.
+		var top Set
+		for _, s := range cfg {
+			if s&(s-1) != 0 {
+				top = s
+			}
+		}
 		expanded := false
-		for i := range cfg {
+		for i, s := range cfg {
+			if i > 0 && s == cfg[i-1] {
+				continue // equal coordinates grow alike
+			}
 			// cfg is universal, so adding x at coordinate i keeps it
 			// universal iff x completes every selection of the other
 			// coordinates.
-			grow := n.meet(sc, sc.split(cfg, i), full&^cfg[i], 0, sc.pick[:0])
-			for x := uint64(grow); x != 0; x &= x - 1 {
-				expanded = true
-				copy(next, cfg)
-				next[i] = cfg[i].Add(bits.TrailingZeros64(x))
-				push(next)
+			grow := n.meet(sc, sc.split(cfg, i), full&^s, 0, sc.pick[:0])
+			if grow == 0 {
+				continue
+			}
+			expanded = true
+			// cfg is the parent of cfg + x@i iff x lies above s's highest
+			// label and s ∪ {x} is at least top.
+			high := uint(bits.Len64(uint64(s)))
+			for x := uint64(grow) >> high << high; x != 0; x &= x - 1 {
+				grown := s.Add(bits.TrailingZeros64(x))
+				if grown < top {
+					continue
+				}
+				// Push cfg + x@i, moving grown right to keep it sorted.
+				stack = append(stack, cfg...)
+				child := stack[len(stack)-d:]
+				j := i
+				for ; j+1 < d && child[j+1] < grown; j++ {
+					child[j] = child[j+1]
+				}
+				child[j] = grown
+				queued++
 			}
 		}
 		if !expanded {
@@ -336,89 +352,28 @@ func maximalDegreeOne(one Set, lim Limits) ([][]Set, error) {
 	return [][]Set{{one}}, nil
 }
 
-// configSet is the set of configurations, as sorted multisets of sets,
-// that the maximal-configuration search has queued. It keeps each one
-// sorted in an append-only slab of d Sets per configuration, and finds
-// an equal one in expected constant time through slots, an
-// open-addressed, linearly probed table over the sorted form's hash; a
-// slot holds a configuration's number plus one, 0 if empty.
-type configSet struct {
-	d      int
-	count  int32
-	sorted []Set
-	slots  []int32
-	shift  uint // 64 − log2(len(slots)): a hash's top bits pick its slot
-}
-
-func newConfigSet(d, hint int) *configSet {
-	size := 64
-	for size < 4*hint {
-		size *= 2
-	}
-	return &configSet{d: d, slots: make([]int32, size), shift: uint(64 - bits.TrailingZeros(uint(size)))}
-}
-
-// add adds cfg's sorted form unless it is present, and reports whether
-// it was added.
-func (c *configSet) add(cfg []Set) bool {
-	if 2*int(c.count+1) > len(c.slots) {
-		c.grow()
-	}
-	// The sorted form goes on the slab's end, and is dropped again if it
-	// is a duplicate.
-	n := len(c.sorted)
-	c.sorted = append(c.sorted, cfg...)
-	key := c.sorted[n:]
-	for i := 1; i < len(key); i++ { // insertion sort: d is small
-		for j := i; j > 0 && key[j] < key[j-1]; j-- {
-			key[j], key[j-1] = key[j-1], key[j]
+// distinctSorted returns configs in lexicographic order without repeats:
+// configs itself when it already is, as the problems apply builds are,
+// else a sorted copy.
+func distinctSorted(configs []lcl.Multiset) []lcl.Multiset {
+	for i := 1; i < len(configs); i++ {
+		if slices.Compare(configs[i-1], configs[i]) >= 0 {
+			sorted := slices.Clone(configs)
+			slices.SortFunc(sorted, slices.Compare[lcl.Multiset])
+			return slices.CompactFunc(sorted, slices.Equal[lcl.Multiset])
 		}
 	}
-	mask := len(c.slots) - 1
-	for i := int(hashSets(key) >> c.shift); ; i = (i + 1) & mask {
-		e := c.slots[i]
-		if e == 0 {
-			c.count++
-			c.slots[i] = c.count
-			return true
-		}
-		j := int(e-1) * c.d
-		if slices.Equal(c.sorted[j:j+c.d], key) {
-			c.sorted = c.sorted[:n]
-			return false
-		}
-	}
-}
-
-// grow doubles the slot table and reinserts every configuration.
-func (c *configSet) grow() {
-	c.slots = make([]int32, 2*len(c.slots))
-	c.shift--
-	mask := len(c.slots) - 1
-	for k := int32(0); k < c.count; k++ {
-		j := int(k) * c.d
-		i := int(hashSets(c.sorted[j:j+c.d]) >> c.shift)
-		for c.slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		c.slots[i] = k + 1
-	}
-}
-
-// hashSets mixes a configuration's sets into 64 bits whose top bits
-// depend on every input bit.
-func hashSets(sets []Set) uint64 {
-	h := uint64(len(sets))
-	for _, s := range sets {
-		h = (h ^ uint64(s)) * 0x9e3779b97f4a7c15
-		h ^= h >> 32
-	}
-	return h * 0x9e3779b97f4a7c15
+	return configs
 }
 
 // setName renders a new label's meaning with base label names.
 func setName(s Set, base *lcl.Problem) string {
+	size := 1 + s.Count() // brackets and separators
+	for x := uint64(s); x != 0; x &= x - 1 {
+		size += len(base.OutNames[bits.TrailingZeros64(x)])
+	}
 	var b strings.Builder
+	b.Grow(size)
 	b.WriteByte('[')
 	for x := uint64(s); x != 0; x &= x - 1 {
 		if x != uint64(s) {

@@ -3,7 +3,6 @@ package re
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"sort"
 
 	"repro/internal/lcl"
@@ -29,7 +28,7 @@ type nodeTable struct {
 	configs []lcl.Multiset // Nᵈ as the problem lists it
 	one     Set            // d = 1: completions of the empty prefix
 	rows    []Set          // d = 2: rows[a] = completions of {a}
-	comp    map[string]Set // d ≥ 3: keyed by the prefix's sorted label bytes
+	comp    compTable      // d ≥ 3
 }
 
 // compile builds p's constraint table. It reads only p's exported
@@ -82,7 +81,7 @@ func compileNode(d int, configs []lcl.Multiset, L int) *nodeTable {
 			n.rows[m[1]] = n.rows[m[1]].Add(m[0])
 		}
 	case d >= 3:
-		n.comp = map[string]Set{}
+		n.comp = newCompTable(d-1, len(configs))
 		prefix := make([]byte, 0, d-1)
 		for _, m := range configs {
 			for j, x := range m {
@@ -95,7 +94,7 @@ func compileNode(d int, configs []lcl.Multiset, L int) *nodeTable {
 						prefix = append(prefix, byte(y))
 					}
 				}
-				n.comp[string(prefix)] = n.comp[string(prefix)].Add(x)
+				n.comp.add(prefix, x)
 			}
 		}
 	}
@@ -105,12 +104,129 @@ func compileNode(d int, configs []lcl.Multiset, L int) *nodeTable {
 // complete returns the completion set of a sorted (d−1)-label prefix.
 func (n *nodeTable) complete(prefix []byte) Set {
 	switch n.d {
-	case 1:
+	case 0, 1:
 		return n.one
 	case 2:
 		return n.rows[prefix[0]]
 	}
-	return n.comp[string(prefix)]
+	return n.comp.get(prefix)
+}
+
+// completeOf returns the completion set of the (d−1) labels pick, in any
+// order; only d ≥ 3 needs them sorted.
+func (n *nodeTable) completeOf(s *selScratch, pick []byte) Set {
+	if n.d >= 3 {
+		pick = s.sortedKey(pick)
+	}
+	return n.complete(pick)
+}
+
+// compTable maps sorted prefixes of a fixed length to completion sets.
+// A prefix is packed 6 bits per label, 10 labels to a uint64 word, and
+// its words are the key of an open-addressed, linearly probed table; a
+// slot whose set is empty is free, since no stored set is.
+type compTable struct {
+	words int      // key words per prefix
+	keys  []uint64 // slot i's key is keys[i*words : (i+1)*words]
+	sets  []Set
+	count int
+	shift uint // 64 − log2(len(sets))
+}
+
+// labelsPerWord is how many 6-bit labels a key word packs.
+const labelsPerWord = 10
+
+func newCompTable(length, hint int) compTable {
+	size := 8
+	for size < 2*hint {
+		size *= 2
+	}
+	words := max(1, (length+labelsPerWord-1)/labelsPerWord)
+	return compTable{
+		words: words,
+		keys:  make([]uint64, size*words),
+		sets:  make([]Set, size),
+		shift: uint(64 - bits.TrailingZeros(uint(size))),
+	}
+}
+
+// keyWord packs the w-th group of labelsPerWord labels of prefix.
+func keyWord(prefix []byte, w int) uint64 {
+	var k uint64
+	for _, x := range prefix[w*labelsPerWord : min(len(prefix), (w+1)*labelsPerWord)] {
+		k = k<<6 | uint64(x)
+	}
+	return k
+}
+
+// find returns prefix's slot, or the free slot where it belongs.
+func (c *compTable) find(prefix []byte) int {
+	k0 := keyWord(prefix, 0)
+	h := mixWord(0, k0)
+	for w := 1; w < c.words; w++ {
+		h = mixWord(h, keyWord(prefix, w))
+	}
+	mask := len(c.sets) - 1
+	for i := firstSlot(h, c.shift); ; i = (i + 1) & mask {
+		if c.sets[i] == 0 {
+			return i
+		}
+		if key := c.keys[i*c.words : (i+1)*c.words]; key[0] == k0 {
+			w := 1
+			for w < c.words && key[w] == keyWord(prefix, w) {
+				w++
+			}
+			if w == c.words {
+				return i
+			}
+		}
+	}
+}
+
+// get returns the completion set of a sorted prefix.
+func (c *compTable) get(prefix []byte) Set {
+	return c.sets[c.find(prefix)]
+}
+
+// add adds label x to the completion set of a sorted prefix.
+func (c *compTable) add(prefix []byte, x int) {
+	i := c.find(prefix)
+	if c.sets[i] == 0 {
+		if 2*(c.count+1) > len(c.sets) {
+			c.grow()
+			i = c.find(prefix)
+		}
+		for w := range c.words {
+			c.keys[i*c.words+w] = keyWord(prefix, w)
+		}
+		c.count++
+	}
+	c.sets[i] = c.sets[i].Add(x)
+}
+
+// grow doubles the table and reinserts every prefix.
+func (c *compTable) grow() {
+	keys, sets := c.keys, c.sets
+	c.keys = make([]uint64, 2*len(keys))
+	c.sets = make([]Set, 2*len(sets))
+	c.shift--
+	mask := len(c.sets) - 1
+	for j, set := range sets {
+		if set == 0 {
+			continue
+		}
+		key := keys[j*c.words : (j+1)*c.words]
+		var h uint64
+		for _, w := range key {
+			h = mixWord(h, w)
+		}
+		i := firstSlot(h, c.shift)
+		for c.sets[i] != 0 {
+			i = (i + 1) & mask
+		}
+		copy(c.keys[i*c.words:], key)
+		c.sets[i] = set
+	}
 }
 
 // selScratch holds the buffers a degree-d selection walk reuses.
@@ -133,8 +249,13 @@ func (s *selScratch) split(sets []Set, k int) []Set {
 // sortedKey returns pick's labels sorted, in s.key.
 func (s *selScratch) sortedKey(pick []byte) []byte {
 	key := s.key[:len(pick)]
-	copy(key, pick)
-	slices.Sort(key)
+	for i, x := range pick { // insertion sort: d is small
+		j := i
+		for ; j > 0 && key[j-1] > x; j-- {
+			key[j] = key[j-1]
+		}
+		key[j] = x
+	}
 	return key
 }
 
@@ -143,7 +264,7 @@ func (s *selScratch) sortedKey(pick []byte) []byte {
 // answer, once the result has lost a bit of need or become empty.
 func (n *nodeTable) meet(s *selScratch, others []Set, keep, need Set, pick []byte) Set {
 	if len(pick) == len(others) {
-		return keep & n.complete(s.sortedKey(pick))
+		return keep & n.completeOf(s, pick)
 	}
 	for x := uint64(others[len(pick)]); x != 0; x &= x - 1 {
 		keep = n.meet(s, others, keep, need, append(pick, byte(bits.TrailingZeros64(x))))
@@ -158,7 +279,7 @@ func (n *nodeTable) meet(s *selScratch, others []Set, keep, need Set, pick []byt
 // others has complete(P) ∩ target ≠ ∅.
 func (n *nodeTable) hits(s *selScratch, others []Set, target Set, pick []byte) bool {
 	if len(pick) == len(others) {
-		return target&n.complete(s.sortedKey(pick)) != 0
+		return target&n.completeOf(s, pick) != 0
 	}
 	for x := uint64(others[len(pick)]); x != 0; x &= x - 1 {
 		if n.hits(s, others, target, append(pick, byte(bits.TrailingZeros64(x)))) {

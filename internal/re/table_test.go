@@ -2,6 +2,7 @@ package re
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/lcl"
@@ -70,6 +71,114 @@ func TestTableMatchesProblem(t *testing.T) {
 					t.Fatalf("trial %d: exists%v at degree %d = %v, want %v", trial, sets, d, got, want)
 				}
 			}
+		}
+	}
+}
+
+// completionsOracle is the string-keyed completion map the flat table
+// replaced: each sorted (d−1)-label prefix, as bytes, to its completions.
+func completionsOracle(d int, configs []lcl.Multiset) map[string]Set {
+	comp := map[string]Set{}
+	prefix := make([]byte, 0, d-1)
+	for _, m := range configs {
+		for j, x := range m {
+			prefix = prefix[:0]
+			for k, y := range m {
+				if k != j {
+					prefix = append(prefix, byte(y))
+				}
+			}
+			comp[string(prefix)] = comp[string(prefix)].Add(x)
+		}
+	}
+	return comp
+}
+
+// sameCompletions fails t unless the node table compiled from configs
+// answers every prefix of the oracle, and the probes, as the oracle does.
+func sameCompletions(t *testing.T, d, L int, configs []lcl.Multiset, probes [][]byte) {
+	t.Helper()
+	n := compileNode(d, configs, L)
+	want := completionsOracle(d, configs)
+	if n.comp.count != len(want) {
+		t.Fatalf("d=%d configs=%v: %d prefixes, oracle %d", d, configs, n.comp.count, len(want))
+	}
+	for prefix, set := range want {
+		if got := n.complete([]byte(prefix)); got != set {
+			t.Fatalf("d=%d configs=%v: prefix %v completes to %v, oracle %v", d, configs, []byte(prefix), got, set)
+		}
+	}
+	for _, prefix := range probes {
+		if got := n.complete(prefix); got != want[string(prefix)] {
+			t.Fatalf("d=%d configs=%v: probe %v completes to %v, oracle %v", d, configs, prefix, got, want[string(prefix)])
+		}
+	}
+}
+
+// FuzzNodeCompletions checks the flat completion table against the
+// string-keyed map at degrees 3, 4 and 5 over up to 63 labels, on
+// configuration lists with repeats, and probes prefixes that may be
+// missing.
+func FuzzNodeCompletions(f *testing.F) {
+	f.Add([]byte{0, 2, 1, 0, 1, 2, 0, 1, 2})
+	f.Add([]byte{1, 62, 0, 61, 62, 61, 0, 5, 5, 5, 5})
+	f.Add([]byte{2, 9, 1, 0, 0, 0, 0, 1, 8, 8, 8, 8, 8, 3, 4, 5, 6, 7})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		at := func(i int) int {
+			if i < len(data) {
+				return int(data[i])
+			}
+			return 0
+		}
+		d := 3 + at(0)%3
+		L := 1 + at(1)%MaxBaseLabels
+		var configs []lcl.Multiset
+		var probes [][]byte
+		for i := 3; i+d <= len(data) && len(configs) < 64; i += d {
+			m := make(lcl.Multiset, d)
+			for k := range m {
+				m[k] = int(data[i+k]) % L
+			}
+			probe := make([]byte, d-1)
+			for k := range probe {
+				probe[k] = byte(m[k+1])
+			}
+			slices.Sort(m)
+			slices.Sort(probe)
+			configs = append(configs, m)
+			probes = append(probes, probe)
+		}
+		if at(2)%2 == 1 && len(configs) > 0 {
+			configs = append(configs, configs[0]) // a repeat
+		}
+		sameCompletions(t, d, L, configs, probes)
+	})
+}
+
+// TestNodeCompletionsLongPrefixes runs the oracle check at degrees whose
+// prefixes take two and three key words.
+func TestNodeCompletionsLongPrefixes(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, d := range []int{11, 12, 20, 21, 22, 25} {
+		for trial := 0; trial < 20; trial++ {
+			L := 1 + rng.Intn(MaxBaseLabels)
+			var configs []lcl.Multiset
+			var probes [][]byte
+			for range 1 + rng.Intn(40) {
+				m := make(lcl.Multiset, d)
+				for k := range m {
+					m[k] = rng.Intn(min(L, 1+trial%4))
+				}
+				slices.Sort(m)
+				configs = append(configs, m)
+				probe := make([]byte, d-1)
+				for k := range probe {
+					probe[k] = byte(rng.Intn(L))
+				}
+				slices.Sort(probe)
+				probes = append(probes, probe)
+			}
+			sameCompletions(t, d, L, configs, probes)
 		}
 	}
 }

@@ -58,6 +58,11 @@ const (
 	DefaultRootedRadius = rooted.DefaultCensusRadius
 )
 
+// MaxRootedRadius caps the rooted decider's synthesis radius, for
+// requests and rooted census jobs alike: radius 3 already costs 33 s on
+// HeightCap(2,3), and no compute can be cancelled.
+const MaxRootedRadius = 2
+
 // DefaultRegistry builds the registry with all six deciders. Engines
 // constructed without an explicit Config.Registry use it.
 func DefaultRegistry() *decide.Registry {
@@ -327,6 +332,9 @@ func (rootedDecider) Name() string { return ModeRooted }
 func (rootedDecider) Normalize(req *decide.Request) error {
 	if req.MaxRadius <= 0 {
 		req.MaxRadius = DefaultRootedRadius
+	}
+	if req.MaxRadius > MaxRootedRadius {
+		return fmt.Errorf("service: rooted max_radius = %d out of range [1, %d]", req.MaxRadius, MaxRootedRadius)
 	}
 	// Build once to validate eagerly; Fingerprint and Compute rebuild
 	// (construction is cheap next to synthesis).

@@ -482,6 +482,8 @@ func pinnedRows() []struct{ route, name, body string } {
 			struct{ route, name, body string }{"/v1/classify/batch", it.name, `{"requests":[` + it.body + `]}`})
 	}
 	ok := `{"mode":"cycles","problem":` + good + `}`
+	const rootedOverCap = `{"mode":"rooted","max_radius":3,"rooted":{"name":"r2col","delta":2,"labels":["a","b"],` +
+		`"configs":[{"parent":"a","children":["b","b"]},{"parent":"b","children":["a","a"]}]}}`
 	return append(rows,
 		struct{ route, name, body string }{"/v1/classify", "trailing-bytes", ok + ` x`},
 		struct{ route, name, body string }{"/v1/classify/batch", "trailing-bytes", `{"requests":[` + ok + `]} x`},
@@ -489,6 +491,9 @@ func pinnedRows() []struct{ route, name, body string } {
 		struct{ route, name, body string }{"/v1/jobs", "body-too-large", `{"type":"` + strings.Repeat("x", maxJobBody) + `"}`},
 		struct{ route, name, body string }{"/v1/jobs", "unknown-field", `{"type":"census","k":1,"sizes":[64]}`},
 		struct{ route, name, body string }{"/v1/jobs", "long-unknown-type", `{"type":"a` + strings.Repeat("é", 100) + `"}`},
+		struct{ route, name, body string }{"/v1/classify", "rooted-radius-over-cap", rootedOverCap},
+		struct{ route, name, body string }{"/v1/classify/batch", "rooted-radius-over-cap", `{"requests":[` + rootedOverCap + `]}`},
+		struct{ route, name, body string }{"/v1/jobs", "rooted-census-radius-over-cap", `{"type":"rooted-census","delta":2,"k":1,"max_radius":3}`},
 	)
 }
 
@@ -515,7 +520,8 @@ func servePinned(route, body string) pinnedReply {
 // before the one-pass request decoder existed: error bodies come from
 // the encoding/json path, and inputs the fast path declines still
 // succeed. The job rows pin the submission route's bounds: an oversized
-// body, an unknown field and a long unknown type.
+// body, an unknown field and a long unknown type. The last rows pin the
+// rooted radius cap on both classify routes and on rooted census jobs.
 func TestHTTPRepliesPinned(t *testing.T) {
 	raw, err := os.ReadFile("testdata/http_pinned.json")
 	if err != nil {

@@ -256,6 +256,9 @@ func (rootedDecider) ValidateCensusSpec(spec jobs.Spec) error {
 	if spec.K < 1 || spec.K > 2 {
 		return fmt.Errorf("service: rooted-census job k = %d out of range [1, 2]", spec.K)
 	}
+	if spec.MaxRadius > MaxRootedRadius {
+		return fmt.Errorf("service: rooted-census job max_radius = %d out of range [1, %d]", spec.MaxRadius, MaxRootedRadius)
+	}
 	return nil
 }
 
