@@ -178,9 +178,38 @@ func BenchmarkGapPipelineTrees(b *testing.B) {
 	}
 }
 
+// BenchmarkGapPipelineTreesDelta3 is a cold trees compute at Δ=3: the gap
+// pipeline at default Limits and 6 levels, core.ClassifyOnTrees's work,
+// on the battery problems whose maximal-configuration searches cost most.
+func BenchmarkGapPipelineTreesDelta3(b *testing.B) {
+	names := []string{"mis", "maximal-matching", "4-coloring", "5-edge-coloring"}
+	battery := map[string]*lcl.Problem{}
+	for _, p := range problems.All(3) {
+		battery[p.Name] = p
+	}
+	for _, name := range names {
+		p := battery[name]
+		if p == nil {
+			b.Fatalf("no %s in the Δ=3 battery", name)
+		}
+		b.Run(name, func(b *testing.B) {
+			degrees := degreesOf(p)
+			var verdict re.Verdict
+			for i := 0; i < b.N; i++ {
+				res, err := re.RunGapPipeline(p, degrees, re.Pruned, re.Limits{}, 6)
+				if err != nil {
+					b.Fatal(err)
+				}
+				verdict = res.Verdict
+			}
+			b.ReportMetric(float64(verdict), "verdict")
+		})
+	}
+}
+
 // TestGapPipelineAllocs is the allocation budget for a cold trees
 // compute: the gap pipeline on MIS at Δ=2, two levels, stays within 380
-// allocations and 64,000 bytes (357 and 56,072 measured with Go 1.24 on
+// allocations and 64,000 bytes (347 and 56,104 measured with Go 1.24 on
 // linux/amd64).
 func TestGapPipelineAllocs(t *testing.T) {
 	if raceEnabled {

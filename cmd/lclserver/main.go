@@ -246,7 +246,10 @@ func main() {
 		Addr: *addr,
 		// NewHandler already wraps the route table in obs.Middleware
 		// (request metrics, traces, access + slow-request logging).
-		Handler:           service.NewHandler(engine),
+		Handler: service.NewHandler(engine),
+		// Headers get 5 s; bodies get 30 s, set per request by the
+		// service routes that read one. There is no ReadTimeout, which
+		// would also end long-lived job event streams.
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	// SSE job-event streams are long-lived by design; end them when the

@@ -104,8 +104,8 @@ func sortedConfigs(configs [][]Set) [][]Set {
 	return out
 }
 
-// fuzzNodeTable builds a node table from fuzz bytes: a degree in {1, 2, 3},
-// at most 8 labels and at most 24 configurations.
+// fuzzNodeTable builds a node table from fuzz bytes: a degree in
+// {1, 2, 3, 4}, at most 8 labels and at most 24 configurations.
 func fuzzNodeTable(data []byte) (*nodeTable, Set, Limits) {
 	at := func(i int) int {
 		if i < len(data) {
@@ -113,7 +113,7 @@ func fuzzNodeTable(data []byte) (*nodeTable, Set, Limits) {
 		}
 		return 0
 	}
-	d := 1 + at(0)%3
+	d := 1 + at(0)%4
 	L := 1 + at(1)%8
 	lim := Limits{MaxExpandIter: [...]int{1, 7, 50, Limits{}.withDefaults().MaxExpandIter}[at(2)%4]}
 	var configs []lcl.Multiset
@@ -134,6 +134,8 @@ func FuzzMaximalConfigs(f *testing.F) {
 	f.Add([]byte{2, 5, 2, 0, 1, 2, 1, 2, 3, 2, 3, 4, 0, 0, 0})
 	f.Add([]byte{2, 7, 3, 0, 1, 2, 0, 1, 3, 0, 2, 3, 1, 2, 3, 4, 5, 6, 4, 5, 7})
 	f.Add([]byte{1, 7, 1, 0, 1, 2, 3, 4, 5, 6, 7, 0, 2, 4, 6})
+	f.Add([]byte{3, 5, 3, 0, 0, 1, 2, 0, 1, 1, 2, 0, 1, 2, 3, 1, 1, 2, 4, 0, 2, 3, 4})
+	f.Add([]byte{3, 3, 2, 0, 0, 0, 1, 0, 0, 1, 1, 0, 1, 1, 1, 1, 1, 1, 2, 0, 1, 2, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n, full, lim := fuzzNodeTable(data)
 		want, _, wantErr := maximalConfigsOracle(n, full, lim)

@@ -162,24 +162,7 @@ func apply(base *lcl.Problem, tab *table, op Op, mode Mode, lim Limits) (*Step, 
 		if cm := countMultisets(len(cand), d); cm > lim.MaxConfigs {
 			return nil, fmt.Errorf("re: %s degree-%d enumeration needs %d configs (cap %d)", op, d, cm, lim.MaxConfigs)
 		}
-		n := tab.node[d]
-		sc := newSelScratch(d)
-		sets := make([]Set, d)
-		var configs []lcl.Multiset
-		multisetsOf(len(cand), d, func(m idMultiset) {
-			for k, id := range m {
-				sets[k] = cand[id]
-			}
-			var ok bool
-			if op == OpR {
-				ok = n.exists(sc, sets)
-			} else {
-				ok = n.forAll(sc, sets)
-			}
-			if ok {
-				configs = append(configs, slab.add(m...))
-			}
-		})
+		configs := nodeConfigs(tab.node[d], cand, op, full, &slab)
 		if len(configs) > 0 {
 			newProb.Node[d] = configs
 		}
@@ -202,6 +185,49 @@ func apply(base *lcl.Problem, tab *table, op Op, mode Mode, lim Limits) (*Step, 
 		return nil, err
 	}
 	return &Step{Op: op, Prob: newProb, Meaning: cand, tab: newTab}, nil
+}
+
+// nodeConfigs returns the degree-d node constraint over the candidate
+// labels, in the order multisetsOf lists the multisets: existential for R
+// (some selection lies in Nᵈ), universal for R̄ (every selection does).
+// Each (d−1)-label prefix is walked once for its cover, the labels that
+// complete some selection of it (R) or every one (R̄); a last label
+// extends the prefix iff it meets the cover (R) or lies in it (R̄).
+func nodeConfigs(n *nodeTable, cand []Set, op Op, full Set, slab *multisetSlab) []lcl.Multiset {
+	d := n.d
+	if d == 0 {
+		if len(n.configs) == 0 {
+			return nil
+		}
+		return []lcl.Multiset{slab.add()}
+	}
+	sc := newSelScratch(d)
+	sets := make([]Set, d-1)
+	m := make([]int, d)
+	var configs []lcl.Multiset
+	multisetsOf(len(cand), d-1, func(prefix idMultiset) {
+		for k, id := range prefix {
+			sets[k] = cand[id]
+		}
+		var cover Set
+		if op == OpR {
+			cover = n.join(sc, sets, 0, full, sc.pick[:0])
+		} else {
+			cover = n.meet(sc, sets, full, 0, sc.pick[:0])
+		}
+		copy(m, prefix)
+		first := 0
+		if d > 1 {
+			first = prefix[d-2]
+		}
+		for id := first; id < len(cand); id++ {
+			if (op == OpR && cand[id]&cover != 0) || (op == OpRBar && cand[id]&^cover == 0) {
+				m[d-1] = id
+				configs = append(configs, slab.add(m...))
+			}
+		}
+	})
+	return configs
 }
 
 // multisetSlab carves multisets out of shared chunks: one allocation per
@@ -260,75 +286,105 @@ func prunedSeeds(tab *table, op Op, full Set, lim Limits) ([]Set, error) {
 // configuration exactly once, so the search needs no record of the
 // configurations it has seen. The walk is depth-first; lim.MaxExpandIter
 // bounds the configurations it pops.
+//
+// Each configuration carries, per coordinate i, the set K_i of labels that
+// complete every selection of the other coordinates: adding x at i keeps
+// it universal iff x ∈ K_i. A child cfg + x@i inherits K_i and narrows
+// every other K_j to the labels that also complete the selections with x
+// at coordinate i, so no configuration's sets are recomputed whole.
 func maximalUniversalNodeConfigs(n *nodeTable, full Set, lim Limits) ([][]Set, error) {
 	d := n.d
 	if d == 1 {
 		return maximalDegreeOne(n.one, lim)
 	}
-	// The stack holds d sets per configuration. The roots are sorted,
-	// since each multiset of Nᵈ is.
+	sc := newSelScratch(d)
+	cfg := make([]Set, 3*d)
+	cfg, ks, next := cfg[:d:d], cfg[d:2*d:2*d], cfg[2*d:]
+	// The stack holds 2d sets per configuration, its coordinates and then
+	// their K sets. Each root's tree is walked to the end before the next
+	// root starts, last root first, as if all roots had been pushed at
+	// the outset; the roots are sorted, since each multiset of Nᵈ is. A
+	// walk's frontier seldom outgrows room for half as many
+	// configurations as there are roots.
 	roots := distinctSorted(n.configs)
 	stack := make([]Set, 0, d*len(roots))
-	for _, m := range roots {
-		for _, a := range m {
-			stack = append(stack, SetOf(a))
-		}
-	}
-	queued := len(roots) // counted rather than len(stack)/d, which fails at d = 0
-	sc := newSelScratch(d)
-	cfg := make([]Set, d)
 	var maximal []Set // d sets per maximal configuration
-	nmax := 0         // counted, like queued
-	for pops := 1; queued > 0; pops++ {
-		if pops > lim.MaxExpandIter {
-			return nil, fmt.Errorf("re: maximal-config search exceeded %d states at degree %d", lim.MaxExpandIter, d)
+	nmax, pops := 0, 0
+	for r := len(roots) - 1; r >= 0; r-- {
+		for i, a := range roots[r] {
+			cfg[i] = SetOf(a)
 		}
-		queued--
-		copy(cfg, stack[len(stack)-d:])
-		stack = stack[:len(stack)-d]
-		// top is cfg's largest coordinate of two or more labels; cfg is
-		// sorted, so it is the last one.
-		var top Set
-		for _, s := range cfg {
-			if s&(s-1) != 0 {
-				top = s
-			}
+		for i := range ks {
+			ks[i] = n.meet(sc, sc.split(cfg, i), full, 0, sc.pick[:0])
 		}
-		expanded := false
-		for i, s := range cfg {
-			if i > 0 && s == cfg[i-1] {
-				continue // equal coordinates grow alike
+		stack = append(append(stack, cfg...), ks...)
+		// queued is counted rather than len(stack)/2d, which fails at d = 0.
+		for queued := 1; queued > 0; queued-- {
+			if pops++; pops > lim.MaxExpandIter {
+				return nil, fmt.Errorf("re: maximal-config search exceeded %d states at degree %d", lim.MaxExpandIter, d)
 			}
-			// cfg is universal, so adding x at coordinate i keeps it
-			// universal iff x completes every selection of the other
-			// coordinates.
-			grow := n.meet(sc, sc.split(cfg, i), full&^s, 0, sc.pick[:0])
-			if grow == 0 {
-				continue
+			base := len(stack) - 2*d
+			copy(cfg, stack[base:])
+			copy(ks, stack[base+d:])
+			stack = stack[:base]
+			// top is cfg's largest coordinate of two or more labels; cfg is
+			// sorted, so it is the last one.
+			var top Set
+			for _, s := range cfg {
+				if s&(s-1) != 0 {
+					top = s
+				}
 			}
-			expanded = true
-			// cfg is the parent of cfg + x@i iff x lies above s's highest
-			// label and s ∪ {x} is at least top.
-			high := uint(bits.Len64(uint64(s)))
-			for x := uint64(grow) >> high << high; x != 0; x &= x - 1 {
-				grown := s.Add(bits.TrailingZeros64(x))
-				if grown < top {
+			expanded := false
+			for i, s := range cfg {
+				if i > 0 && s == cfg[i-1] {
+					continue // equal coordinates grow alike
+				}
+				grow := ks[i] &^ s
+				if grow == 0 {
 					continue
 				}
-				// Push cfg + x@i, moving grown right to keep it sorted.
-				stack = append(stack, cfg...)
-				child := stack[len(stack)-d:]
-				j := i
-				for ; j+1 < d && child[j+1] < grown; j++ {
-					child[j] = child[j+1]
+				expanded = true
+				// cfg is the parent of cfg + x@i iff x lies above s's highest
+				// label and s ∪ {x} is at least top.
+				high := uint(bits.Len64(uint64(s)))
+				for x := uint64(grow) >> high << high; x != 0; x &= x - 1 {
+					label := bits.TrailingZeros64(x)
+					grown := s.Add(label)
+					if grown < top {
+						continue
+					}
+					for j := range next {
+						switch {
+						case j == i:
+							next[j] = ks[i]
+						case d == 2:
+							next[j] = ks[j] & n.rows[label]
+						case j > 0 && j-1 != i && cfg[j] == cfg[j-1]:
+							next[j] = next[j-1] // equal coordinates narrow alike
+						default:
+							// cfg[j] ⊆ K_j stays so: narrow only the rest,
+							// which stops as soon as none of it is left.
+							next[j] = cfg[j] | n.meet(sc, sc.split2(cfg, i, j), ks[j]&^cfg[j], 0, append(sc.pick[:0], byte(label)))
+						}
+					}
+					// Push cfg + x@i, moving grown and its K set right to keep
+					// the coordinates sorted.
+					stack = append(append(stack, cfg...), next...)
+					child := stack[len(stack)-2*d:]
+					childK := child[d:]
+					j := i
+					for ; j+1 < d && child[j+1] < grown; j++ {
+						child[j], childK[j] = child[j+1], childK[j+1]
+					}
+					child[j], childK[j] = grown, ks[i]
+					queued++
 				}
-				child[j] = grown
-				queued++
 			}
-		}
-		if !expanded {
-			maximal = append(maximal, cfg...)
-			nmax++
+			if !expanded {
+				maximal = append(maximal, cfg...)
+				nmax++
+			}
 		}
 	}
 	out := make([][]Set, nmax)

@@ -159,6 +159,16 @@ func keyWord(prefix []byte, w int) uint64 {
 	return k
 }
 
+// findWord is find for a table whose prefixes take one key word k.
+func (c *compTable) findWord(k uint64) int {
+	mask := len(c.sets) - 1
+	for i := firstSlot(mixWord(0, k), c.shift); ; i = (i + 1) & mask {
+		if c.sets[i] == 0 || c.keys[i] == k {
+			return i
+		}
+	}
+}
+
 // find returns prefix's slot, or the free slot where it belongs.
 func (c *compTable) find(prefix []byte) int {
 	k0 := keyWord(prefix, 0)
@@ -234,15 +244,28 @@ type selScratch struct {
 	others []Set
 	pick   []byte
 	key    []byte
+	leaf   []byte
 }
 
 func newSelScratch(d int) *selScratch {
-	return &selScratch{others: make([]Set, 0, d), pick: make([]byte, 0, d), key: make([]byte, d)}
+	labels := make([]byte, 3*d)
+	return &selScratch{others: make([]Set, 0, d), pick: labels[:0:d], key: labels[d : 2*d : 2*d], leaf: labels[2*d:]}
 }
 
 // split returns the sets other than sets[k], in order.
 func (s *selScratch) split(sets []Set, k int) []Set {
 	s.others = append(append(s.others[:0], sets[:k]...), sets[k+1:]...)
+	return s.others
+}
+
+// split2 returns the sets other than sets[k] and sets[l], in order.
+func (s *selScratch) split2(sets []Set, k, l int) []Set {
+	s.others = s.others[:0]
+	for i, set := range sets {
+		if i != k && i != l {
+			s.others = append(s.others, set)
+		}
+	}
 	return s.others
 }
 
@@ -259,15 +282,71 @@ func (s *selScratch) sortedKey(pick []byte) []byte {
 	return key
 }
 
-// meet returns keep ∩ ⋂ complete(P) over every selection P of one label
-// from each set of others. It stops early, with a subset of the full
-// answer, once the result has lost a bit of need or become empty.
-func (n *nodeTable) meet(s *selScratch, others []Set, keep, need Set, pick []byte) Set {
-	if len(pick) == len(others) {
-		return keep & n.completeOf(s, pick)
+// leafKeys looks up the completion sets of pick ∪ {x} for the labels x of
+// a walk's last coordinate, in ascending order. At d ≥ 3 pick is sorted,
+// and packed, once; each x is then inserted into it.
+type leafKeys struct {
+	n      *nodeTable
+	sorted []byte // pick, sorted
+	key    []byte // room for a prefix of more than one key word
+	word   uint64 // sorted packed, when a prefix takes one key word
+	below  int    // labels of sorted below the last x looked up
+}
+
+// start readies l for the leaves of pick in n.
+func (l *leafKeys) start(n *nodeTable, s *selScratch, pick []byte) {
+	l.n, l.key, l.below = n, s.leaf, 0
+	if n.d >= 3 {
+		l.sorted = s.sortedKey(pick)
+		if n.comp.words == 1 {
+			l.word = keyWord(l.sorted, 0)
+		}
 	}
-	for x := uint64(others[len(pick)]); x != 0; x &= x - 1 {
-		keep = n.meet(s, others, keep, need, append(pick, byte(bits.TrailingZeros64(x))))
+}
+
+// complete returns the completion set of pick ∪ {x}; x must be at least
+// the label of the previous call.
+func (l *leafKeys) complete(x byte) Set {
+	switch l.n.d {
+	case 0, 1:
+		return l.n.one
+	case 2:
+		return l.n.rows[x]
+	}
+	for l.below < len(l.sorted) && l.sorted[l.below] < x {
+		l.below++
+	}
+	if l.n.comp.words == 1 {
+		shift := 6 * uint(len(l.sorted)-l.below)
+		return l.n.comp.sets[l.n.comp.findWord(l.word>>shift<<(shift+6)|uint64(x)<<shift|l.word&(1<<shift-1))]
+	}
+	key := l.key[:len(l.sorted)+1]
+	copy(key, l.sorted[:l.below])
+	key[l.below] = x
+	copy(key[l.below+1:], l.sorted[l.below:])
+	return l.n.comp.get(key)
+}
+
+// meet returns keep ∩ ⋂ complete(pick ∪ P) over every selection P of one
+// label from each set of others. It stops early, with a subset of the
+// full answer, once the result has lost a bit of need or become empty.
+func (n *nodeTable) meet(s *selScratch, others []Set, keep, need Set, pick []byte) Set {
+	switch len(others) {
+	case 0:
+		return keep & n.completeOf(s, pick)
+	case 1:
+		var l leafKeys
+		l.start(n, s, pick)
+		for x := uint64(others[0]); x != 0; x &= x - 1 {
+			keep &= l.complete(byte(bits.TrailingZeros64(x)))
+			if keep == 0 || keep&need != need {
+				break
+			}
+		}
+		return keep
+	}
+	for x := uint64(others[0]); x != 0; x &= x - 1 {
+		keep = n.meet(s, others[1:], keep, need, append(pick, byte(bits.TrailingZeros64(x))))
 		if keep == 0 || keep&need != need {
 			break
 		}
@@ -275,48 +354,29 @@ func (n *nodeTable) meet(s *selScratch, others []Set, keep, need Set, pick []byt
 	return keep
 }
 
-// hits reports whether some selection P of one label from each set of
-// others has complete(P) ∩ target ≠ ∅.
-func (n *nodeTable) hits(s *selScratch, others []Set, target Set, pick []byte) bool {
-	if len(pick) == len(others) {
-		return target&n.completeOf(s, pick) != 0
+// join returns have ∪ ⋃ complete(pick ∪ P) over every selection P of one
+// label from each set of others. It stops early, with a subset of the
+// full answer, once the result holds all of want.
+func (n *nodeTable) join(s *selScratch, others []Set, have, want Set, pick []byte) Set {
+	switch len(others) {
+	case 0:
+		return have | n.completeOf(s, pick)
+	case 1:
+		var l leafKeys
+		l.start(n, s, pick)
+		for x := uint64(others[0]); x != 0; x &= x - 1 {
+			have |= l.complete(byte(bits.TrailingZeros64(x)))
+			if have&want == want {
+				break
+			}
+		}
+		return have
 	}
-	for x := uint64(others[len(pick)]); x != 0; x &= x - 1 {
-		if n.hits(s, others, target, append(pick, byte(bits.TrailingZeros64(x)))) {
-			return true
+	for x := uint64(others[0]); x != 0; x &= x - 1 {
+		have = n.join(s, others[1:], have, want, append(pick, byte(bits.TrailingZeros64(x))))
+		if have&want == want {
+			break
 		}
 	}
-	return false
-}
-
-// largest returns the index of the largest set; walking the other
-// coordinates and testing it against a completion set does the least work.
-func largest(sets []Set) int {
-	k := 0
-	for i, s := range sets {
-		if s.Count() > sets[k].Count() {
-			k = i
-		}
-	}
-	return k
-}
-
-// forAll reports whether every selection (a1..ad) ∈ A1 × … × Ad has
-// {a1..ad} ∈ Nᵈ: Definition 3.2's universal node constraint.
-func (n *nodeTable) forAll(s *selScratch, sets []Set) bool {
-	if n.d == 0 {
-		return len(n.configs) > 0
-	}
-	k := largest(sets)
-	return n.meet(s, s.split(sets, k), sets[k], sets[k], s.pick[:0]) == sets[k]
-}
-
-// exists reports whether some selection (a1..ad) ∈ A1 × … × Ad has
-// {a1..ad} ∈ Nᵈ: Definition 3.1's existential node constraint.
-func (n *nodeTable) exists(s *selScratch, sets []Set) bool {
-	if n.d == 0 {
-		return len(n.configs) > 0
-	}
-	k := largest(sets)
-	return n.hits(s, s.split(sets, k), sets[k], s.pick[:0])
+	return have
 }

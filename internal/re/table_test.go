@@ -1,6 +1,7 @@
 package re
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -26,6 +27,72 @@ func bruteNode(p *lcl.Problem, sets []Set, all bool) bool {
 		return all
 	}
 	return rec(0)
+}
+
+// hits reports whether some selection P of one label from each set of
+// others has complete(P) ∩ target ≠ ∅.
+func (n *nodeTable) hits(s *selScratch, others []Set, target Set, pick []byte) bool {
+	if len(pick) == len(others) {
+		return target&n.completeOf(s, pick) != 0
+	}
+	for x := uint64(others[len(pick)]); x != 0; x &= x - 1 {
+		if n.hits(s, others, target, append(pick, byte(bits.TrailingZeros64(x)))) {
+			return true
+		}
+	}
+	return false
+}
+
+// largest returns the index of the largest set; walking the other
+// coordinates and testing it against a completion set does the least work.
+func largest(sets []Set) int {
+	k := 0
+	for i, s := range sets {
+		if s.Count() > sets[k].Count() {
+			k = i
+		}
+	}
+	return k
+}
+
+// forAll reports whether every selection (a1..ad) ∈ A1 × … × Ad has
+// {a1..ad} ∈ Nᵈ: Definition 3.2's universal node constraint, decided for
+// one tuple of sets on its own.
+func (n *nodeTable) forAll(s *selScratch, sets []Set) bool {
+	if n.d == 0 {
+		return len(n.configs) > 0
+	}
+	k := largest(sets)
+	return n.meet(s, s.split(sets, k), sets[k], sets[k], s.pick[:0]) == sets[k]
+}
+
+// exists reports whether some selection (a1..ad) ∈ A1 × … × Ad has
+// {a1..ad} ∈ Nᵈ: Definition 3.1's existential node constraint, decided
+// for one tuple of sets on its own.
+func (n *nodeTable) exists(s *selScratch, sets []Set) bool {
+	if n.d == 0 {
+		return len(n.configs) > 0
+	}
+	k := largest(sets)
+	return n.hits(s, s.split(sets, k), sets[k], s.pick[:0])
+}
+
+// nodeConfigsOracle is the degree-d node constraint over cand as apply
+// built it before covers were shared between multisets: forAll (R̄) or
+// exists (R) on each sorted d-multiset of candidates in turn.
+func nodeConfigsOracle(n *nodeTable, cand []Set, op Op) []lcl.Multiset {
+	sc := newSelScratch(n.d)
+	sets := make([]Set, n.d)
+	var configs []lcl.Multiset
+	multisetsOf(len(cand), n.d, func(m idMultiset) {
+		for k, id := range m {
+			sets[k] = cand[id]
+		}
+		if (op == OpR && n.exists(sc, sets)) || (op == OpRBar && n.forAll(sc, sets)) {
+			configs = append(configs, lcl.Multiset(slices.Clone(m)))
+		}
+	})
+	return configs
 }
 
 // TestTableMatchesProblem checks the compiled table against lcl.Problem's
@@ -73,6 +140,36 @@ func TestTableMatchesProblem(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzNodeConstraints checks nodeConfigs, which walks each (d−1)-label
+// prefix once for a cover shared by every last label, against the oracle
+// that decides each d-multiset on its own, for R and R̄: the same
+// configurations in the same order. The table is fuzzNodeTable's; the
+// candidate list is up to 12 label sets read from the tail of the input.
+func FuzzNodeConstraints(f *testing.F) {
+	f.Add([]byte{0, 7, 0, 0, 1, 2, 3, 4, 5, 6, 7, 3, 5, 255})
+	f.Add([]byte{1, 3, 6, 0, 1, 1, 2, 2, 3, 1, 2, 4, 6, 7})
+	f.Add([]byte{2, 5, 9, 0, 1, 2, 1, 2, 3, 2, 3, 4, 0, 0, 0, 1, 3, 7, 6, 31, 16, 8, 12, 2})
+	f.Add([]byte{3, 5, 11, 0, 0, 1, 2, 0, 1, 1, 2, 0, 1, 2, 3, 1, 1, 2, 4, 1, 2, 3, 6, 5, 24, 17, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, full, _ := fuzzNodeTable(data)
+		var cand []Set
+		if len(data) > 2 {
+			k := min(1+int(data[2])%12, len(data)-3)
+			for _, b := range data[len(data)-k:] {
+				cand = append(cand, Set(b)&full)
+			}
+		}
+		for _, op := range []Op{OpR, OpRBar} {
+			var slab multisetSlab
+			got := nodeConfigs(n, cand, op, full, &slab)
+			want := nodeConfigsOracle(n, cand, op)
+			if !slices.EqualFunc(got, want, slices.Equal[lcl.Multiset]) {
+				t.Fatalf("%s d=%d configs=%v cand=%v: %v, oracle %v", op, n.d, n.configs, cand, got, want)
+			}
+		}
+	})
 }
 
 // completionsOracle is the string-keyed completion map the flat table

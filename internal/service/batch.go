@@ -123,9 +123,21 @@ type batchScratch struct {
 	wg sync.WaitGroup
 }
 
-var batchScratchPool = sync.Pool{
-	New: func() any { return &batchScratch{ident: map[batchIdent]int32{}} },
+func newBatchScratch() *batchScratch {
+	return &batchScratch{ident: map[batchIdent]int32{}}
 }
+
+// batchScratchPool holds the arenas of batches (NewBatch). An arena grows
+// with its batch, so a free list keeps them: the arenas the engine holds
+// between batches are the same from one batch to the next, rather than
+// whatever the last garbage collection left in a sync.Pool.
+var batchScratchPool = newFreeList(newBatchScratch)
+
+// singleScratchPool holds the batch-of-one arenas of single requests
+// (Engine.ClassifyCtx). They are small and taken once a request, so they
+// stay in a sync.Pool, whose per-processor caches cost a request less
+// than a list the processors share.
+var singleScratchPool = sync.Pool{New: func() any { return newBatchScratch() }}
 
 // reset drops every reference the previous pass left in the arena and
 // sizes the per-item slices to n. It clears exactly the slots the
@@ -221,7 +233,7 @@ type Batch struct {
 // NewBatch acquires a batch context backed by a pooled scratch arena.
 // Callers must Release it when done.
 func (e *Engine) NewBatch() *Batch {
-	return &Batch{e: e, sc: batchScratchPool.Get().(*batchScratch)}
+	return &Batch{e: e, sc: batchScratchPool.get()}
 }
 
 // Release returns the arena to the pool. The Batch and any results from
@@ -230,7 +242,7 @@ func (b *Batch) Release() {
 	if b.sc == nil {
 		return
 	}
-	batchScratchPool.Put(b.sc)
+	batchScratchPool.put(b.sc)
 	b.sc = nil
 }
 

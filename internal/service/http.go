@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -122,6 +123,13 @@ const (
 	maxPooledBody    = maxBatchItemBody
 )
 
+// bodyReadTimeout bounds how long a request body may take to arrive once
+// its headers are read. A body still incomplete at the deadline gets 408.
+// The deadline is lifted as soon as the body is read, so it never cuts
+// short a compute or a reply, and routes without a body, such as job
+// event streams, never set it.
+const bodyReadTimeout = 30 * time.Second
+
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // readBody reads r's body, at most limit bytes, into a pooled buffer,
@@ -142,10 +150,44 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) (*bytes.Buffe
 	putBody(buf)
 	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
 		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds the limit of %d bytes", limit)
+	} else if errors.Is(err, os.ErrDeadlineExceeded) {
+		httpError(w, http.StatusRequestTimeout, "request body not received in time")
 	} else {
 		httpError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 	}
 	return nil, false
+}
+
+// readTimedBody is readBody under the engine's body-read deadline, when w
+// reaches the connection: a client that stalls mid-body gets 408 at the
+// deadline rather than holding a handler. net/http lifts the deadline
+// itself once the body reaches EOF, when it starts its background read of
+// the connection, so a compute that runs past the deadline keeps its
+// request context (TestHTTPBodyReadDeadline pins this). After a failed
+// read the deadline stands, and the server closes the connection without
+// waiting for the rest of the body.
+func (e *Engine) readTimedBody(w http.ResponseWriter, r *http.Request, limit int64) (*bytes.Buffer, bool) {
+	setReadDeadline(w, e.bodyTimeout)
+	return readBody(w, r, limit)
+}
+
+// setReadDeadline sets the read deadline of w's connection to timeout from
+// now, as http.ResponseController does, when w or a writer it wraps has
+// one. For a writer without one, such as an in-process recorder, it does
+// nothing, where the controller would format a fresh ErrNotSupported
+// error, two allocations a request.
+func setReadDeadline(w http.ResponseWriter, timeout time.Duration) {
+	for {
+		switch t := w.(type) {
+		case interface{ SetReadDeadline(time.Time) error }:
+			t.SetReadDeadline(time.Now().Add(timeout))
+			return
+		case interface{ Unwrap() http.ResponseWriter }:
+			w = t.Unwrap()
+		default:
+			return
+		}
+	}
 }
 
 func putBody(buf *bytes.Buffer) {
@@ -243,7 +285,7 @@ func (e *Engine) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if tr != nil {
 		spanStart = time.Now()
 	}
-	body, ok := readBody(w, r, maxClassifyBody)
+	body, ok := e.readTimedBody(w, r, maxClassifyBody)
 	if !ok {
 		return
 	}
@@ -306,14 +348,20 @@ type batchEncoder struct {
 	buf []byte
 }
 
-var batchEncPool = sync.Pool{New: func() any { return new(batchEncoder) }}
+// encPool holds the encoders of single replies; batchEncPool, a free
+// list for the same reason as batchScratchPool, those of batch replies,
+// whose buffers grow with the batch.
+var (
+	encPool      = sync.Pool{New: func() any { return new(batchEncoder) }}
+	batchEncPool = newFreeList(func() *batchEncoder { return new(batchEncoder) })
+)
 
-func getEncoder() *batchEncoder { return batchEncPool.Get().(*batchEncoder) }
+func getEncoder() *batchEncoder { return encPool.Get().(*batchEncoder) }
 
 // release empties the encoder and returns it to the pool.
 func (be *batchEncoder) release() {
 	be.buf = be.buf[:0]
-	batchEncPool.Put(be)
+	encPool.Put(be)
 }
 
 // jsonContentType is the Content-Type header value of every classify
@@ -448,7 +496,7 @@ func appendString(b []byte, s string) []byte {
 }
 
 func (e *Engine) handleBatch(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r, int64(e.maxBatch)*maxBatchItemBody)
+	body, ok := e.readTimedBody(w, r, int64(e.maxBatch)*maxBatchItemBody)
 	if !ok {
 		return
 	}
@@ -474,9 +522,9 @@ func (e *Engine) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Stream the response through the pooled encoder, one line per
 	// item: the newline after each item is legal JSON whitespace inside
 	// the array.
-	be := getEncoder()
-	defer be.release()
-	be.buf = append(be.buf, `{"results":[`...)
+	be := batchEncPool.get()
+	defer batchEncPool.put(be)
+	be.buf = append(be.buf[:0], `{"results":[`...)
 	next := 0
 	for i := range reqs {
 		if i > 0 {

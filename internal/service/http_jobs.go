@@ -24,7 +24,7 @@ import (
 const maxJobBody = 4 << 10
 
 func (e *Engine) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r, maxJobBody)
+	body, ok := e.readTimedBody(w, r, maxJobBody)
 	if !ok {
 		return
 	}

@@ -1,9 +1,12 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -11,6 +14,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/decide"
 	"repro/internal/lcl"
@@ -621,6 +625,76 @@ func TestHTTPDeclaredLengthNotTrusted(t *testing.T) {
 		t.Errorf("buffer capacity %d for a %d-byte body", c, len(body))
 	}
 	putBody(buf)
+}
+
+// TestHTTPBodyReadDeadline: under a shortened body-read deadline, a client
+// that sends its headers and part of its body, then stalls, gets 408 with
+// a JSON error once the deadline passes; and a handler that runs past
+// the deadline after reading its body keeps its request context, since
+// the deadline is lifted once the body is in.
+func TestHTTPBodyReadDeadline(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	e := New(Config{Workers: 1})
+	defer e.Close()
+	e.bodyTimeout = timeout
+
+	t.Run("stalled-body", func(t *testing.T) {
+		srv := httptest.NewServer(NewHandler(e))
+		defer srv.Close()
+		conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		start := time.Now()
+		if _, err := io.WriteString(conn, "POST /v1/classify HTTP/1.1\r\nHost: test\r\n"+
+			"Content-Type: application/json\r\nContent-Length: 200\r\n\r\n{\"mode\":"); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatalf("no reply to a stalled body: %v", err)
+		}
+		defer resp.Body.Close()
+		elapsed := time.Since(start)
+		var reply map[string]string
+		if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusRequestTimeout || reply["error"] != "request body not received in time" {
+			t.Errorf("stalled body: status %d, reply %v", resp.StatusCode, reply)
+		}
+		if elapsed < timeout || elapsed > 5*time.Second {
+			t.Errorf("stalled body answered after %v, deadline %v", elapsed, timeout)
+		}
+	})
+
+	t.Run("deadline-lifted", func(t *testing.T) {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			body, ok := e.readTimedBody(w, r, maxJobBody)
+			if !ok {
+				return
+			}
+			putBody(body)
+			time.Sleep(3 * timeout)
+			if err := r.Context().Err(); err != nil {
+				http.Error(w, "request context ended: "+err.Error(), http.StatusInternalServerError)
+				return
+			}
+			io.WriteString(w, "ok")
+		}))
+		defer srv.Close()
+		resp, err := http.Post(srv.URL, "application/json", strings.NewReader(`{"mode":"cycles"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		got, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK || string(got) != "ok" {
+			t.Errorf("handler running past the body deadline: status %d, body %q", resp.StatusCode, got)
+		}
+	})
 }
 
 // TestHTTPConcurrentBodies serves warm requests on both classify routes

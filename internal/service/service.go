@@ -223,6 +223,8 @@ type Engine struct {
 	// maxBatch is the batch item limit the HTTP layer enforces
 	// (Config.MaxBatch, defaulted).
 	maxBatch int
+	// bodyTimeout is bodyReadTimeout; tests shorten it.
+	bodyTimeout time.Duration
 
 	snapshotPath string
 	snapLoaded   bool
@@ -299,6 +301,7 @@ func New(cfg Config) *Engine {
 		sealed:       cfg.Sealed,
 		snapshotPath: cfg.SnapshotPath,
 		maxBatch:     cfg.MaxBatch,
+		bodyTimeout:  bodyReadTimeout,
 	}
 	if e.maxBatch <= 0 {
 		e.maxBatch = DefaultMaxBatch
@@ -448,8 +451,8 @@ func (e *Engine) Classify(req Request) (*Response, error) {
 // Close. The trace machinery is nil-safe, so untraced and uninstrumented
 // calls pay only nil checks.
 func (e *Engine) ClassifyCtx(ctx context.Context, req Request) (*Response, error) {
-	sc := batchScratchPool.Get().(*batchScratch)
-	defer batchScratchPool.Put(sc)
+	sc := singleScratchPool.Get().(*batchScratch)
+	defer singleScratchPool.Put(sc)
 	reqs := [1]Request{req}
 	item := e.classify(ctx, sc, reqs[:])[0]
 	if d := sc.ds[0]; d != nil {
