@@ -6,19 +6,40 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// smallReport runs the real small grid once (repeats=1 keeps the test
-// fast; the grid itself is the production one).
+// small is one run of the real small grid, shared by the tests
+// (repeats=1 keeps it fast; the grid itself is the production one).
+var small struct {
+	once   sync.Once
+	report *Report
+	err    error
+}
+
+func runSmallGrid() (*Report, error) {
+	return runGrid("small", grids["small"], 1, 1, new(bytes.Buffer))
+}
+
+// sharedSmallReport returns the shared small-grid run itself; callers
+// must only read it.
+func sharedSmallReport(t *testing.T) *Report {
+	t.Helper()
+	small.once.Do(func() { small.report, small.err = runSmallGrid() })
+	if small.err != nil {
+		t.Fatal(small.err)
+	}
+	return small.report
+}
+
+// smallReport returns a deep copy of the shared small-grid run, which the
+// caller may change freely.
 func smallReport(t *testing.T) *Report {
 	t.Helper()
-	r, err := runGrid("small", grids["small"], 1, 1, new(bytes.Buffer))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
+	return cloneReport(sharedSmallReport(t))
 }
 
 func TestRunGridProducesValidReport(t *testing.T) {
@@ -31,7 +52,10 @@ func TestRunGridProducesValidReport(t *testing.T) {
 	}
 	// The deterministic metric really is deterministic: a second run
 	// reproduces every rounds value and experiment name exactly.
-	again := smallReport(t)
+	again, err := runSmallGrid()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range r.Experiments {
 		if r.Experiments[i].Name != again.Experiments[i].Name || r.Experiments[i].Rounds != again.Experiments[i].Rounds {
 			t.Fatalf("run not deterministic at %d: %+v vs %+v", i, r.Experiments[i], again.Experiments[i])
@@ -46,7 +70,8 @@ func TestRunGridProducesValidReport(t *testing.T) {
 }
 
 func TestReportFileRoundTrip(t *testing.T) {
-	r := smallReport(t)
+	// The runner's own output, not a copy: writeReport only reads it.
+	r := sharedSmallReport(t)
 	path := filepath.Join(t.TempDir(), "BENCH_small.json")
 	if err := writeReport(path, r); err != nil {
 		t.Fatal(err)
@@ -105,16 +130,29 @@ func TestValidateReportRejectsMalformed(t *testing.T) {
 	}
 }
 
+// cloneReport deep-copies r by hand, so a copy never depends on the JSON
+// codec that TestReportFileRoundTrip checks.
 func cloneReport(r *Report) *Report {
 	c := *r
 	c.Experiments = make([]Experiment, len(r.Experiments))
 	copy(c.Experiments, r.Experiments)
 	for i := range c.Experiments {
 		e := &c.Experiments[i]
-		e.LatencyMS.Samples = append([]float64(nil), e.LatencyMS.Samples...)
-		e.HitRate.Samples = append([]float64(nil), e.HitRate.Samples...)
+		e.LatencyMS = cloneDist(e.LatencyMS)
+		e.HitRate = cloneDist(e.HitRate)
+		for _, d := range []**Dist{&e.AllocsPerOp, &e.SpeedupVsMemo, &e.LookupsPerSec, &e.BuildRepsPerSec, &e.LoadReadFileMS, &e.ItemsPerSec} {
+			if *d != nil {
+				v := cloneDist(**d)
+				*d = &v
+			}
+		}
 	}
 	return &c
+}
+
+func cloneDist(d Dist) Dist {
+	d.Samples = slices.Clone(d.Samples)
+	return d
 }
 
 func TestCheckRegression(t *testing.T) {

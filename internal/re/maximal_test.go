@@ -138,9 +138,75 @@ func FuzzMaximalConfigs(f *testing.F) {
 	f.Add([]byte{3, 3, 2, 0, 0, 0, 1, 0, 0, 1, 1, 0, 1, 1, 1, 1, 1, 1, 2, 0, 1, 2, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n, full, lim := fuzzNodeTable(data)
-		want, _, wantErr := maximalConfigsOracle(n, full, lim)
-		got, gotErr := maximalUniversalNodeConfigs(n, full, lim)
-		sameResult(t, fmt.Sprintf("d=%d configs=%v lim=%d", n.d, n.configs, lim.MaxExpandIter), got, gotErr, want, wantErr)
+		sameAsOracle(t, fmt.Sprintf("d=%d configs=%v lim=%d", n.d, n.configs, lim.MaxExpandIter), n, full, lim)
+	})
+}
+
+// sameAsOracle fails t unless the search on n under lim returns the
+// oracle's result and, where the oracle succeeds, pops exactly as many
+// states: a budget of the oracle's count succeeds and one less fails.
+func sameAsOracle(t *testing.T, what string, n *nodeTable, full Set, lim Limits) {
+	t.Helper()
+	want, pops, wantErr := maximalConfigsOracle(n, full, lim)
+	got, err := maximalUniversalNodeConfigs(n, full, lim)
+	sameResult(t, what, got, err, want, wantErr)
+	if wantErr != nil || pops == 0 {
+		return
+	}
+	got, err = maximalUniversalNodeConfigs(n, full, Limits{MaxExpandIter: pops})
+	sameResult(t, what+" at its pop count", got, err, want, nil)
+	got, err = maximalUniversalNodeConfigs(n, full, Limits{MaxExpandIter: pops - 1})
+	sameResult(t, what+" one under its pop count", got, err, nil,
+		fmt.Errorf("re: maximal-config search exceeded %d states at degree %d", pops-1, n.d))
+}
+
+// fuzzDegreeTwoTable builds a degree-2 node table from fuzz bytes: up to
+// 63 labels, so that labels reach bit 62, and a budget of at most 5,000
+// states, so that the oracle stays fast. A dense table starts from every
+// pair and the bytes remove pairs; a sparse one starts empty and the
+// bytes add them.
+func fuzzDegreeTwoTable(data []byte) (*nodeTable, Set, Limits) {
+	at := func(i int) int {
+		if i < len(data) {
+			return int(data[i])
+		}
+		return 0
+	}
+	L := 1 + at(0)%MaxBaseLabels
+	lim := Limits{MaxExpandIter: (at(1)<<8 | at(2)) % 5_001}
+	dense := at(3)%2 == 1
+	pairs := map[[2]int]bool{}
+	if dense {
+		for a := range L {
+			for b := a; b < L; b++ {
+				pairs[[2]int{a, b}] = true
+			}
+		}
+	}
+	for i := 4; i+1 < len(data) && i < 4+2*96; i += 2 {
+		a, b := int(data[i])%L, int(data[i+1])%L
+		pairs[[2]int{min(a, b), max(a, b)}] = !dense
+	}
+	var configs []lcl.Multiset
+	for pair, in := range pairs {
+		if in {
+			configs = append(configs, lcl.Multiset{pair[0], pair[1]})
+		}
+	}
+	slices.SortFunc(configs, slices.Compare[lcl.Multiset])
+	return compileNode(2, configs, L), Set(1)<<uint(L) - 1, lim
+}
+
+func FuzzMaximalDegreeTwo(f *testing.F) {
+	f.Add([]byte{62, 0, 200, 0, 0, 62, 1, 62, 2, 62, 61, 62, 62, 62})
+	f.Add([]byte{62, 19, 136, 1, 0, 1, 5, 9, 61, 62})
+	f.Add([]byte{7, 0, 50, 0, 0, 1, 1, 2, 2, 3, 0, 3, 4, 5, 5, 6, 6, 7})
+	f.Add([]byte{40, 1, 0, 1})
+	f.Add([]byte{62, 0, 100, 1, 0, 62, 3, 62})
+	f.Add([]byte{2, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, full, lim := fuzzDegreeTwoTable(data)
+		sameAsOracle(t, fmt.Sprintf("labels=%d configs=%v lim=%d", len(n.rows), n.configs, lim.MaxExpandIter), n, full, lim)
 	})
 }
 
@@ -168,19 +234,7 @@ func TestMaximalConfigsMatchOracleOnBattery(t *testing.T) {
 				}
 				full := Set(1)<<uint(r.Prob.NumOut()) - 1
 				for _, d := range r.tab.degrees {
-					n := r.tab.node[d]
-					what := fmt.Sprintf("%s Δ=%d level %d degree %d", p.Name, delta, level, d)
-					want, pops, wantErr := maximalConfigsOracle(n, full, lim)
-					got, err := maximalUniversalNodeConfigs(n, full, lim)
-					sameResult(t, what, got, err, want, wantErr)
-					if wantErr != nil {
-						continue
-					}
-					got, err = maximalUniversalNodeConfigs(n, full, Limits{MaxExpandIter: pops})
-					sameResult(t, what, got, err, want, nil)
-					got, err = maximalUniversalNodeConfigs(n, full, Limits{MaxExpandIter: pops - 1})
-					sameResult(t, what, got, err, nil,
-						fmt.Errorf("re: maximal-config search exceeded %d states at degree %d", pops-1, d))
+					sameAsOracle(t, fmt.Sprintf("%s Δ=%d level %d degree %d", p.Name, delta, level, d), r.tab.node[d], full, lim)
 				}
 				rr, err := apply(r.Prob, r.tab, OpRBar, Pruned, lim)
 				if err != nil {

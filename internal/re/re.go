@@ -292,10 +292,16 @@ func prunedSeeds(tab *table, op Op, full Set, lim Limits) ([]Set, error) {
 // it universal iff x ∈ K_i. A child cfg + x@i inherits K_i and narrows
 // every other K_j to the labels that also complete the selections with x
 // at coordinate i, so no configuration's sets are recomputed whole.
+//
+// Degrees 1 and 2 have closed forms that pop no states but count them, so
+// the budget runs out exactly where the walk's would.
 func maximalUniversalNodeConfigs(n *nodeTable, full Set, lim Limits) ([][]Set, error) {
 	d := n.d
-	if d == 1 {
+	switch d {
+	case 1:
 		return maximalDegreeOne(n.one, lim)
+	case 2:
+		return maximalDegreeTwo(n.rows, full, lim)
 	}
 	sc := newSelScratch(d)
 	cfg := make([]Set, 3*d)
@@ -358,8 +364,6 @@ func maximalUniversalNodeConfigs(n *nodeTable, full Set, lim Limits) ([][]Set, e
 						switch {
 						case j == i:
 							next[j] = ks[i]
-						case d == 2:
-							next[j] = ks[j] & n.rows[label]
 						case j > 0 && j-1 != i && cfg[j] == cfg[j-1]:
 							next[j] = next[j-1] // equal coordinates narrow alike
 						default:
@@ -406,6 +410,95 @@ func maximalDegreeOne(one Set, lim Limits) ([][]Set, error) {
 		return nil, fmt.Errorf("re: maximal-config search exceeded %d states at degree %d", lim.MaxExpandIter, 1)
 	}
 	return [][]Set{{one}}, nil
+}
+
+// maximalDegreeTwo is the degree-2 search in closed form. A universal
+// configuration is a pair A ≤ B with B ⊆ K(A), where K(A) is the AND of
+// rows[a] over a ∈ A, and the search pops each one exactly once. So it
+// walks the nonempty sets A, adding labels in increasing order and
+// narrowing K by one row per label, and counts the pairs each A heads.
+// K(A) < A leaves A no partner and rules out every extension of A too,
+// whose K is smaller and which is larger. Each A the walk keeps heads at
+// least one pair, so it keeps at most lim.MaxExpandIter + 1 of them. The
+// maximal configurations are the pairs [A, K(A)] with A ≤ K(A) and
+// K(K(A)) = A.
+func maximalDegreeTwo(rows []Set, full Set, lim Limits) ([][]Set, error) {
+	var alive Set // the labels of some pair
+	for a, row := range rows {
+		if row != 0 {
+			alive = alive.Add(a)
+		}
+	}
+	budget := uint64(max(lim.MaxExpandIter, 0))
+	// stack[i] is the i-th set on the walk's path: A, K(A), and the labels
+	// above A's highest that are still to be added to it.
+	type frame struct{ a, k, rest Set }
+	var stack [MaxBaseLabels + 1]frame
+	stack[0] = frame{k: full, rest: alive}
+	var maximal []Set // A and K(A) per maximal configuration
+	var pops uint64
+	for top := 0; top >= 0; {
+		f := &stack[top]
+		if f.rest == 0 {
+			top--
+			continue
+		}
+		x := bits.TrailingZeros64(uint64(f.rest))
+		f.rest &= f.rest - 1
+		a := f.a.Add(x)
+		if f.k < a {
+			// Every later sibling is larger than a, and its K is no
+			// larger than f.k.
+			f.rest = 0
+			continue
+		}
+		k := f.k & rows[x]
+		if k < a {
+			continue
+		}
+		if pops += countAtLeast(k, a); pops > budget {
+			return nil, fmt.Errorf("re: maximal-config search exceeded %d states at degree %d", lim.MaxExpandIter, 2)
+		}
+		if galois(rows, k) == a {
+			maximal = append(maximal, a, k)
+		}
+		if rest := f.rest; rest != 0 {
+			top++
+			stack[top] = frame{a: a, k: k, rest: rest}
+		}
+	}
+	out := make([][]Set, len(maximal)/2)
+	for j := range out {
+		out[j] = maximal[2*j : 2*j+2 : 2*j+2]
+	}
+	return out, nil
+}
+
+// galois returns K(s), the AND of rows[x] over x ∈ s, for s nonempty.
+func galois(rows []Set, s Set) Set {
+	k := rows[bits.TrailingZeros64(uint64(s))]
+	for x := uint64(s) & (uint64(s) - 1); x != 0; x &= x - 1 {
+		k &= rows[bits.TrailingZeros64(x)]
+	}
+	return k
+}
+
+// countAtLeast returns #{B ⊆ k : B ≥ a} for a nonempty: the 2^|k| subsets
+// of k less those below a. B < a iff, at the highest label p where they
+// differ, p ∈ a \ B, and B agrees with a above p, which needs a's labels
+// above p in k; B's labels below p are then free in k. Since |k| ≤ 63,
+// the count fits in 64 bits.
+func countAtLeast(k, a Set) uint64 {
+	n := uint64(1) << bits.OnesCount64(uint64(k))
+	for x := uint64(a); x != 0; {
+		p := bits.Len64(x) - 1
+		n -= 1 << bits.OnesCount64(uint64(k)&(1<<p-1))
+		if !k.Has(p) {
+			break
+		}
+		x &^= 1 << p
+	}
+	return n
 }
 
 // distinctSorted returns configs in lexicographic order without repeats:
