@@ -98,7 +98,8 @@ const (
 	KindSealed = "sealed"
 	// KindSealedBuild times the sharded sealed-artifact build
 	// (service.BuildSealedFile) end to end — enumeration, classification,
-	// run encode, and the streaming merge — at a given worker count.
+	// run-file writes, and the final EncodeSealed/SaveSealed — at a given
+	// worker count.
 	// BuildRepsPerSec records classification throughput; Cores records
 	// the machine parallelism so the 1-vs-8-worker scaling gate only
 	// fires where 8 workers can actually run (validateReport).

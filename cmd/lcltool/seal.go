@@ -7,8 +7,8 @@
 //
 // The build runs as a local jobs.Manager job: shard completions feed
 // the jobs progress machinery (the same renderer `lcltool jobs watch`
-// uses), and the manager's periodic checkpointer persists the build
-// manifest, so a build killed at any point resumes with -resume from
+// uses). Every completed shard is an atomic run file in the build
+// directory, so a build killed at any point resumes with -resume from
 // its last completed shard instead of starting over.
 
 package main
@@ -159,11 +159,6 @@ func runSeal(args []string) {
 				return res, nil
 			},
 		},
-		// The manager's periodic checkpointer persists the shard manifest
-		// while the build runs; shard completions also checkpoint inline,
-		// so this bounds only the metadata loss window, not shard work.
-		Checkpoint:      build.Checkpoint,
-		CheckpointEvery: 5 * time.Second,
 	})
 	defer mgr.Close()
 
@@ -189,7 +184,7 @@ watch:
 			signal.Stop(sigc)
 			_ = mgr.Cancel(job.ID)
 			if !*quiet {
-				fmt.Fprintf(os.Stderr, "\ninterrupt: checkpointing; rerun with -resume to continue\n")
+				fmt.Fprintf(os.Stderr, "\ninterrupt: stopping; rerun with -resume to continue\n")
 			}
 		case ev := <-events:
 			if !*quiet {

@@ -1,23 +1,24 @@
-// The sharded sealed-table build: how `lcltool seal` scales to the
-// k = 4 frontier and survives being killed.
+// The sharded sealed-table build: how `lcltool seal` classifies on a
+// worker pool and survives being killed.
 //
 // planSeal turns a SealConfig into a deterministic shard plan — purely
 // a function of the config, never of worker count — partitioning each
 // section's outer mask dimension into ranges. Workers claim shards from
-// a pool; each shard classifies its orbit representatives in memory and
-// writes one sorted "lclrun1" run file atomically. A build killed at
-// any instant therefore leaves only complete, self-validating runs
-// behind: resume re-validates each expected run and re-executes just
-// the missing ones. The final artifact is produced by
-// store.WriteSealedStream, which k-way merges each section's runs —
-// the result is byte-identical regardless of worker count or
-// interruption history, because shard boundaries, classification, and
-// merge order are all deterministic and the created timestamp is
-// pinned in the build manifest at first start.
+// a pool and classify each shard's orbit representatives into its plan
+// slot. BuildSealed stops there; the file build also writes each shard
+// as one sorted "lclrun1" run file, atomically, so a build killed at
+// any instant leaves only complete, checksummed runs behind: resume
+// reads each expected run back (store.ReadSealedRun) and re-executes
+// just the missing or damaged ones. Both builds then concatenate the
+// slots in plan order and encode with store.EncodeSealed — the result
+// is byte-identical regardless of worker count or interruption history,
+// because shard boundaries and classification are deterministic, the
+// encoding is canonical, and the created timestamp is pinned in the
+// build manifest at first start.
 //
-// The build directory holds the manifest (plan hash + created stamp +
-// a completed-shard ledger for observability) and the run files; it is
-// removed once the artifact is renamed into place.
+// The build directory holds the manifest (plan hash + created stamp)
+// and the run files; it is removed once the artifact is renamed into
+// place.
 
 package service
 
@@ -314,12 +315,16 @@ type sealTask struct {
 	global  int // index across the whole plan
 }
 
-// runSealShards executes every task not excluded by skip over a worker
-// pool, calling done with each shard's entries (in shard-local emit
-// order). done runs on worker goroutines, possibly concurrently. The
+// runSealShards classifies the plan's shards over a worker pool and
+// assembles the table. Each shard's entries (in shard-local emit order)
+// land in its plan slot, and the slots concatenate in plan order, so
+// the result is independent of worker count; CreatedUnix is left for
+// the caller. skip, when non-nil, may supply a shard's entries instead
+// of classifying it (resume). done, when non-nil, sees each freshly
+// classified shard on its worker goroutine, possibly concurrently. The
 // first error cancels the pool.
 func runSealShards(ctx context.Context, cfg SealConfig, plan []sealSectionPlan,
-	skip func(sealTask) bool, done func(sealTask, []store.SealedEntry) error) error {
+	skip func(sealTask) ([]store.SealedEntry, bool), done func(sealTask, []store.SealedEntry) error) (*store.Sealed, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -342,15 +347,20 @@ func runSealShards(ctx context.Context, cfg SealConfig, plan []sealSectionPlan,
 		}
 	}
 
+	slots := make([][][]store.SealedEntry, len(plan))
 	var tasks []sealTask
 	global := 0
 	for si := range plan {
+		slots[si] = make([][]store.SealedEntry, len(plan[si].shards))
 		for shi := range plan[si].shards {
 			t := sealTask{section: si, shard: shi, global: global}
 			global++
-			if skip != nil && skip(t) {
-				progress(si, plan[si].shards[shi].reps)
-				continue
+			if skip != nil {
+				if entries, ok := skip(t); ok {
+					slots[si][shi] = entries
+					progress(si, plan[si].shards[shi].reps)
+					continue
+				}
 			}
 			tasks = append(tasks, t)
 		}
@@ -362,9 +372,6 @@ func runSealShards(ctx context.Context, cfg SealConfig, plan []sealSectionPlan,
 	}
 	if workers > len(tasks) {
 		workers = len(tasks)
-	}
-	if len(tasks) == 0 {
-		return ctx.Err()
 	}
 
 	var (
@@ -400,33 +407,46 @@ func runSealShards(ctx context.Context, cfg SealConfig, plan []sealSectionPlan,
 					fail(fmt.Errorf("seal %s: %w", plan[t.section].name, err))
 					return
 				}
-				if err := done(t, entries); err != nil {
-					fail(err)
-					return
+				if done != nil {
+					if err := done(t, entries); err != nil {
+						fail(err)
+						return
+					}
 				}
+				slots[t.section][t.shard] = entries
 			}
 		}()
 	}
 	wg.Wait()
 	if firstErr != nil {
-		return firstErr
+		return nil, firstErr
 	}
-	return ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	sealed := &store.Sealed{}
+	for si := range plan {
+		sec := store.SealedSection{Name: plan[si].name, Domain: plan[si].domain, Kind: plan[si].kind}
+		for _, entries := range slots[si] {
+			sec.Entries = append(sec.Entries, entries...)
+		}
+		sealed.Sections = append(sealed.Sections, sec)
+	}
+	return sealed, nil
 }
 
 // ---------------------------------------------------------------------
-// file build with checkpointed resume
+// file build with resume
 
-// sealManifest is the build directory's checkpoint record. Shard
-// completion itself is recovered from the run files (each one is
-// written atomically and self-validates), so the manifest only pins
-// what must stay fixed across resumes — the plan identity and the
-// created stamp — plus a completed ledger for observability.
+// sealManifest is the build directory's record of what must stay fixed
+// across resumes: the plan identity and the created stamp. It is
+// written once, at a fresh build's start; shard completion is recovered
+// from the run files themselves. (Manifests written by older builds may
+// also carry a "completed" ledger, which is ignored.)
 type sealManifest struct {
-	Version     int            `json:"version"`
-	PlanHash    string         `json:"plan_hash"`
-	CreatedUnix int64          `json:"created_unix"`
-	Completed   map[string]int `json:"completed,omitempty"` // run file -> entries
+	Version     int    `json:"version"`
+	PlanHash    string `json:"plan_hash"`
+	CreatedUnix int64  `json:"created_unix"`
 }
 
 const (
@@ -435,18 +455,14 @@ const (
 )
 
 // SealFileBuild is a prepared sharded build of one sealed artifact.
-// Callers typically use BuildSealedFile; the jobs wiring in lcltool
-// constructs one directly so the jobs manager's checkpoint hook can
-// flush the manifest.
+// Callers typically use BuildSealedFile; lcltool constructs one
+// directly so it can report the shard count before the build runs.
 type SealFileBuild struct {
-	path string
-	cfg  SealConfig
-	plan []sealSectionPlan
-	dir  string
-
-	mu       sync.Mutex
+	path     string
+	cfg      SealConfig
+	plan     []sealSectionPlan
+	dir      string
 	manifest sealManifest
-	dirty    bool
 }
 
 // shardRunName is the deterministic run-file name for a shard; it only
@@ -485,9 +501,6 @@ func NewSealFileBuild(path string, cfg SealConfig) (*SealFileBuild, error) {
 			return nil, fmt.Errorf("seal: build dir %s was produced by a different seal configuration (plan %s, want %s); rebuild without -resume", dir, prior.PlanHash, hash)
 		}
 		b.manifest = *prior
-		if b.manifest.Completed == nil {
-			b.manifest.Completed = map[string]int{}
-		}
 		return b, nil
 	}
 	// Fresh build: drop any stale intermediates so they can never leak
@@ -499,10 +512,13 @@ func NewSealFileBuild(path string, cfg SealConfig) (*SealFileBuild, error) {
 	if created == 0 {
 		created = time.Now().Unix()
 	}
-	b.manifest = sealManifest{Version: sealManifestVersion, PlanHash: hash, CreatedUnix: created, Completed: map[string]int{}}
-	b.dirty = true
-	if err := b.Checkpoint(); err != nil {
+	b.manifest = sealManifest{Version: sealManifestVersion, PlanHash: hash, CreatedUnix: created}
+	raw, err := json.MarshalIndent(&b.manifest, "", "  ")
+	if err != nil {
 		return nil, err
+	}
+	if err := store.WriteFileAtomic(filepath.Join(dir, sealManifestName), raw); err != nil {
+		return nil, fmt.Errorf("seal: write manifest: %w", err)
 	}
 	return b, nil
 }
@@ -563,60 +579,10 @@ func (b *SealFileBuild) CreatedUnix() int64 {
 	return b.manifest.CreatedUnix
 }
 
-// Checkpoint persists the manifest if it has changed since the last
-// save — the hook `lcltool seal` hands to the jobs manager's periodic
-// checkpointer. Shard completions also flush it inline, so a kill at
-// any point loses no more than in-flight (unwritten) shards.
-func (b *SealFileBuild) Checkpoint() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.checkpointLocked()
-}
-
-func (b *SealFileBuild) checkpointLocked() error {
-	if !b.dirty {
-		return nil
-	}
-	raw, err := json.MarshalIndent(&b.manifest, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := writeSealManifest(filepath.Join(b.dir, sealManifestName), raw); err != nil {
-		return fmt.Errorf("seal: write manifest: %w", err)
-	}
-	b.dirty = false
-	return nil
-}
-
-// writeSealManifest writes atomically via a temp sibling, mirroring
-// store.writeFileAtomic (unexported there).
-func writeSealManifest(path string, raw []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// Run executes the build: skip shards whose run files survived a prior
-// interrupted build, classify the rest over the worker pool, then
-// stream-merge everything into the artifact. On success the build
-// directory is removed.
+// Run executes the build: read back the shards whose run files
+// survived a prior interrupted build, classify the rest over the worker
+// pool (writing each one's run file), then encode the whole table with
+// store.SaveSealed. On success the build directory is removed.
 func (b *SealFileBuild) Run(ctx context.Context) (*SealBuildResult, error) {
 	if ctx == nil {
 		ctx = b.cfg.Ctx
@@ -625,77 +591,54 @@ func (b *SealFileBuild) Run(ctx context.Context) (*SealBuildResult, error) {
 		ctx = context.Background()
 	}
 	totalShards := b.Shards()
-	var skipped atomic.Int64
-	shardEntries := make(map[string]int, totalShards)
-	var entriesMu sync.Mutex
+	skipped := 0
 
-	skip := func(t sealTask) bool {
-		name := shardRunName(t.section, t.shard)
-		n, err := store.ValidateSealedRun(filepath.Join(b.dir, name))
+	// skip runs on this goroutine, before any worker starts.
+	skip := func(t sealTask) ([]store.SealedEntry, bool) {
+		sec := &b.plan[t.section]
+		entries, err := store.ReadSealedRun(filepath.Join(b.dir, shardRunName(t.section, t.shard)), sec.kind)
 		if err != nil {
-			return false
+			return nil, false
 		}
-		skipped.Add(1)
-		entriesMu.Lock()
-		shardEntries[name] = n
-		entriesMu.Unlock()
+		skipped++
 		if b.cfg.ShardDone != nil {
-			b.cfg.ShardDone(SealShardEvent{Section: b.plan[t.section].name, Shard: t.global, Shards: totalShards, Entries: n, Skipped: true})
+			b.cfg.ShardDone(SealShardEvent{Section: sec.name, Shard: t.global, Shards: totalShards, Entries: len(entries), Skipped: true})
 		}
-		return true
+		return entries, true
 	}
 	done := func(t sealTask, entries []store.SealedEntry) error {
-		name := shardRunName(t.section, t.shard)
-		if err := store.WriteSealedRun(filepath.Join(b.dir, name), b.plan[t.section].kind, entries); err != nil {
-			return fmt.Errorf("seal %s: %w", b.plan[t.section].name, err)
-		}
-		entriesMu.Lock()
-		shardEntries[name] = len(entries)
-		entriesMu.Unlock()
-		b.mu.Lock()
-		b.manifest.Completed[name] = len(entries)
-		b.dirty = true
-		err := b.checkpointLocked()
-		b.mu.Unlock()
-		if err != nil {
-			return err
+		sec := &b.plan[t.section]
+		if err := store.WriteSealedRun(filepath.Join(b.dir, shardRunName(t.section, t.shard)), sec.kind, entries); err != nil {
+			return fmt.Errorf("seal %s: %w", sec.name, err)
 		}
 		if b.cfg.ShardDone != nil {
-			b.cfg.ShardDone(SealShardEvent{Section: b.plan[t.section].name, Shard: t.global, Shards: totalShards, Entries: len(entries)})
+			b.cfg.ShardDone(SealShardEvent{Section: sec.name, Shard: t.global, Shards: totalShards, Entries: len(entries)})
 		}
 		return nil
 	}
-	if err := runSealShards(ctx, b.cfg, b.plan, skip, done); err != nil {
+	sealed, err := runSealShards(ctx, b.cfg, b.plan, skip, done)
+	if err != nil {
 		// Leave the run files and manifest behind: they are the
 		// checkpoint a -resume build picks up from.
+		return nil, err
+	}
+	sealed.CreatedUnix = b.manifest.CreatedUnix
+	size, err := store.SaveSealed(b.path, sealed)
+	if err != nil {
 		return nil, err
 	}
 
 	res := &SealBuildResult{
 		Path:          b.path,
-		CreatedUnix:   b.manifest.CreatedUnix,
+		Bytes:         int64(size),
+		CreatedUnix:   sealed.CreatedUnix,
 		Shards:        totalShards,
-		SkippedShards: int(skipped.Load()),
+		SkippedShards: skipped,
 	}
-	sections := make([]store.SealedRunSection, 0, len(b.plan))
-	for si := range b.plan {
-		sec := &b.plan[si]
-		rs := store.SealedRunSection{Name: sec.name, Domain: sec.domain, Kind: sec.kind}
-		n := 0
-		for shi := range sec.shards {
-			name := shardRunName(si, shi)
-			rs.Runs = append(rs.Runs, filepath.Join(b.dir, name))
-			n += shardEntries[name]
-		}
-		sections = append(sections, rs)
-		res.Sections = append(res.Sections, store.SealedSectionInfo{Name: sec.name, Domain: sec.domain, Kind: sec.kind, Entries: n})
-		res.Entries += n
+	for _, sec := range sealed.Sections {
+		res.Sections = append(res.Sections, store.SealedSectionInfo{Name: sec.Name, Domain: sec.Domain, Kind: sec.Kind, Entries: len(sec.Entries)})
+		res.Entries += len(sec.Entries)
 	}
-	size, err := store.WriteSealedStream(b.path, b.manifest.CreatedUnix, sections)
-	if err != nil {
-		return nil, err
-	}
-	res.Bytes = size
 	if err := clearSealBuildDir(b.dir); err != nil {
 		return nil, err
 	}
@@ -705,8 +648,8 @@ func (b *SealFileBuild) Run(ctx context.Context) (*SealBuildResult, error) {
 	return res, nil
 }
 
-// BuildSealedFile runs a complete sharded, checkpointed, streaming
-// build of the configured spaces into a sealed artifact at path. See
+// BuildSealedFile runs a complete sharded, resumable build of the
+// configured spaces into a sealed artifact at path. See
 // NewSealFileBuild and SealFileBuild.Run for the resume and
 // determinism contract.
 func BuildSealedFile(path string, cfg SealConfig) (*SealBuildResult, error) {

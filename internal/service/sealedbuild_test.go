@@ -2,7 +2,10 @@ package service
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -47,8 +50,8 @@ func readArtifact(t *testing.T, path string) []byte {
 	return raw
 }
 
-// TestBuildSealedFileMatchesInMemoryEncode: the streaming sharded file
-// build and the in-memory EncodeSealed path are byte-identical.
+// TestBuildSealedFileMatchesInMemoryEncode: the sharded file build and
+// the in-memory BuildSealed path are byte-identical.
 func TestBuildSealedFileMatchesInMemoryEncode(t *testing.T) {
 	want := referenceSealBytes(t)
 	path := filepath.Join(t.TempDir(), "landscape.lclseal")
@@ -169,10 +172,45 @@ func TestBuildSealedFileResumeKillAtEveryCheckpoint(t *testing.T) {
 	}
 }
 
+// killAfterFirstShard runs a single-worker build of cfg into path and
+// cancels it as soon as the first shard completes, leaving that
+// shard's run file and the manifest in the build directory.
+func killAfterFirstShard(t *testing.T, path string, cfg SealConfig) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg.Workers = 1
+	cfg.Ctx = ctx
+	cfg.ShardDone = func(SealShardEvent) { cancel() }
+	if _, err := BuildSealedFile(path, cfg); err == nil {
+		t.Fatal("killed build reported success")
+	}
+}
+
+// addLegacyLedger rewrites the build manifest with the "completed"
+// shard ledger that earlier builds kept, to prove resume ignores it.
+func addLegacyLedger(t *testing.T, dir string) {
+	t.Helper()
+	path := filepath.Join(dir, sealManifestName)
+	var m map[string]any
+	if err := json.Unmarshal(readArtifact(t, path), &m); err != nil {
+		t.Fatal(err)
+	}
+	m["completed"] = map[string]int{shardRunName(0, 0): 1}
+	raw, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestBuildSealedFileResumeSkipsCompletedClassification proves resume
-// does not silently re-classify completed shards: after a full cycles
-// section survives the kill, the classifier seam sees no further
-// cycle invocations.
+// does not silently re-classify completed shards: after a shard
+// survives the kill, the classifier seam sees fewer cycle invocations
+// than a full build — whether or not the manifest still carries the
+// completed-shard ledger of older builds.
 func TestBuildSealedFileResumeSkipsCompletedClassification(t *testing.T) {
 	cfg := SealConfig{CycleKs: []int{2}, CreatedUnix: testSealCreated, Workers: 1}
 	path := filepath.Join(t.TempDir(), "landscape.lclseal")
@@ -181,57 +219,100 @@ func TestBuildSealedFileResumeSkipsCompletedClassification(t *testing.T) {
 	}
 	want := readArtifact(t, path)
 
-	// Build again into the same (now recreated) build dir, killing
-	// after the first shard; then resume with a counting classifier.
-	path2 := filepath.Join(t.TempDir(), "landscape.lclseal")
-	kcfg := cfg
-	ctx, cancel := context.WithCancel(context.Background())
-	kcfg.Ctx = ctx
-	kcfg.ShardDone = func(ev SealShardEvent) { cancel() }
-	if _, err := BuildSealedFile(path2, kcfg); err == nil {
-		t.Fatal("killed build reported success")
-	}
-	cancel()
+	for _, legacy := range []bool{false, true} {
+		name := "manifest"
+		if legacy {
+			name = "legacy-ledger-manifest"
+		}
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "landscape.lclseal")
+			killAfterFirstShard(t, path, cfg)
+			if legacy {
+				addLegacyLedger(t, path+".build")
+			}
 
-	var calls atomic.Int64
-	orig := sealClassifyCycles
-	sealClassifyCycles = func(p *lcl.Problem) (*classify.Result, error) {
-		calls.Add(1)
-		return orig(p)
+			var calls atomic.Int64
+			orig := sealClassifyCycles
+			sealClassifyCycles = func(p *lcl.Problem) (*classify.Result, error) {
+				calls.Add(1)
+				return orig(p)
+			}
+			defer func() { sealClassifyCycles = orig }()
+
+			rcfg := cfg
+			rcfg.Resume = true
+			res, err := BuildSealedFile(path, rcfg)
+			if err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			if res.SkippedShards == 0 {
+				t.Error("resume re-ran every shard; expected recovered runs")
+			}
+			if int(calls.Load()) >= res.Entries {
+				t.Errorf("resume classified %d problems of %d total; completed shards were not skipped", calls.Load(), res.Entries)
+			}
+			if got := readArtifact(t, path); string(got) != string(want) {
+				t.Fatal("resumed artifact differs from uninterrupted build")
+			}
+		})
 	}
-	defer func() { sealClassifyCycles = orig }()
+}
+
+// TestBuildSealedFileResumeRebuildsUndecodableRun: a run file whose
+// checksum is valid but whose verdict word does not decode (a cycle
+// class byte out of range) must not reach the artifact. Resume rebuilds
+// that shard, and the artifact opens and matches an uninterrupted build.
+func TestBuildSealedFileResumeRebuildsUndecodableRun(t *testing.T) {
+	cfg := SealConfig{CycleKs: []int{2}, CreatedUnix: testSealCreated, Workers: 1}
+	path := filepath.Join(t.TempDir(), "landscape.lclseal")
+	if _, err := BuildSealedFile(path, cfg); err != nil {
+		t.Fatal(err)
+	}
+	want := readArtifact(t, path)
+
+	path = filepath.Join(t.TempDir(), "landscape.lclseal")
+	killAfterFirstShard(t, path, cfg)
+	runs, err := filepath.Glob(filepath.Join(path+".build", "*.lclrun"))
+	if err != nil || len(runs) == 0 {
+		t.Fatalf("killed build left no run files (%v)", err)
+	}
+	// Run layout: 8-byte magic, u32 count, then entry 0's u64
+	// fingerprint and u64 verdict word, whose low byte (file offset 27)
+	// is the cycle class; the last 8 bytes are the FNV-1a checksum of
+	// everything after the count.
+	raw := readArtifact(t, runs[0])
+	raw[27] = 0xff
+	h := fnv.New64a()
+	h.Write(raw[12 : len(raw)-8])
+	binary.BigEndian.PutUint64(raw[len(raw)-8:], h.Sum64())
+	if err := os.WriteFile(runs[0], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	rcfg := cfg
 	rcfg.Resume = true
-	res, err := BuildSealedFile(path2, rcfg)
+	res, err := BuildSealedFile(path, rcfg)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
-	if res.SkippedShards == 0 {
-		t.Error("resume re-ran every shard; expected recovered runs")
+	if res.SkippedShards != len(runs)-1 {
+		t.Errorf("resume skipped %d shards, want %d (the damaged run rebuilt)", res.SkippedShards, len(runs)-1)
 	}
-	full := 0
-	for _, sec := range res.Sections {
-		full += sec.Entries
+	tbl, err := store.LoadSealed(path)
+	if err != nil {
+		t.Fatalf("LoadSealed of resumed artifact: %v", err)
 	}
-	if int(calls.Load()) >= full {
-		t.Errorf("resume classified %d problems of %d total; completed shards were not skipped", calls.Load(), full)
+	if tbl.Len() != res.Entries {
+		t.Errorf("table has %d entries, result reports %d", tbl.Len(), res.Entries)
 	}
-	if got := readArtifact(t, path2); string(got) != string(want) {
+	if got := readArtifact(t, path); string(got) != string(want) {
 		t.Fatal("resumed artifact differs from uninterrupted build")
 	}
 }
 
 func TestBuildSealedFileResumeRejectsConfigChange(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "landscape.lclseal")
-	cfg := SealConfig{CycleKs: []int{2}, CreatedUnix: testSealCreated, Workers: 1}
-	ctx, cancel := context.WithCancel(context.Background())
-	cfg.Ctx = ctx
-	cfg.ShardDone = func(SealShardEvent) { cancel() }
-	if _, err := BuildSealedFile(path, cfg); err == nil {
-		t.Fatal("killed build reported success")
-	}
-	cancel()
+	killAfterFirstShard(t, path, SealConfig{CycleKs: []int{2}, CreatedUnix: testSealCreated})
 
 	other := SealConfig{CycleKs: []int{1, 2}, Resume: true}
 	if _, err := BuildSealedFile(path, other); err == nil || !strings.Contains(err.Error(), "different seal configuration") {
@@ -244,14 +325,7 @@ func TestBuildSealedFileResumeRejectsConfigChange(t *testing.T) {
 // different one, or byte-identity would silently break.
 func TestBuildSealedFileResumePreservesCreatedStamp(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "landscape.lclseal")
-	cfg := SealConfig{CycleKs: []int{2}, CreatedUnix: testSealCreated, Workers: 1}
-	ctx, cancel := context.WithCancel(context.Background())
-	cfg.Ctx = ctx
-	cfg.ShardDone = func(SealShardEvent) { cancel() }
-	if _, err := BuildSealedFile(path, cfg); err == nil {
-		t.Fatal("killed build reported success")
-	}
-	cancel()
+	killAfterFirstShard(t, path, SealConfig{CycleKs: []int{2}, CreatedUnix: testSealCreated})
 
 	rcfg := SealConfig{CycleKs: []int{2}, CreatedUnix: 42, Resume: true, Workers: 1}
 	res, err := BuildSealedFile(path, rcfg)

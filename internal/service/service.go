@@ -137,7 +137,8 @@ type Config struct {
 	// POST /v1/admin/snapshot endpoint) writes.
 	SnapshotPath string
 	// Sealed, when non-nil, is the precomputed landscape table (built by
-	// lcltool seal, loaded with store.LoadSealed). It is consulted before
+	// lcltool seal; lclserver opens it with store.OpenSealedMapped,
+	// tests and tools may use store.LoadSealed). It is consulted before
 	// the memo cache: a hit is one hash and one lock-free probe — no LRU
 	// bump, no shard contention, no allocation. A miss falls through to
 	// the existing cache/compute path unchanged, so serving without a

@@ -309,7 +309,7 @@ func SaveSealed(path string, s *Sealed) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := writeFileAtomic(path, buf); err != nil {
+	if err := WriteFileAtomic(path, buf); err != nil {
 		return 0, fmt.Errorf("store: save sealed table: %w", err)
 	}
 	return len(buf), nil
@@ -706,7 +706,7 @@ func unpackSealedValue(kind string, word uint64, aux []byte, zeroCopy bool) (any
 		return v, nil
 
 	case KindRooted:
-		spelled, _, err := readSealedString(rest) // parsed, not retained
+		spelled, _, err := takeSealedString(rest, false) // parsed, not retained
 		if err != nil {
 			return nil, fmt.Errorf("class: %w", err)
 		}
@@ -723,7 +723,7 @@ func unpackSealedValue(kind string, word uint64, aux []byte, zeroCopy bool) (any
 		}, nil
 
 	case KindGrid:
-		spelled, rest, err := readSealedString(rest)
+		spelled, rest, err := takeSealedString(rest, false)
 		if err != nil {
 			return nil, fmt.Errorf("class: %w", err)
 		}
@@ -804,11 +804,11 @@ func appendSealedString(b []byte, s string) ([]byte, error) {
 	return append(b, s...), nil
 }
 
-// takeSealedString is readSealedString with an optional zero-copy mode:
-// the returned string aliases b's backing array instead of copying it.
-// Only the mmap-backed loader sets zeroCopy — the mapping is PROT_READ
-// and outlives the table, so the aliased strings are immutable and
-// stay valid until SealedTable.Close.
+// takeSealedString reads one length-prefixed string off the front of b.
+// With zeroCopy set the returned string aliases b's backing array
+// instead of copying it. Only the mmap-backed loader sets zeroCopy —
+// the mapping is PROT_READ and outlives the table, so the aliased
+// strings are immutable and stay valid until SealedTable.Close.
 func takeSealedString(b []byte, zeroCopy bool) (string, []byte, error) {
 	if len(b) < 2 {
 		return "", nil, fmt.Errorf("truncated string length")
@@ -820,18 +820,6 @@ func takeSealedString(b []byte, zeroCopy bool) (string, []byte, error) {
 	}
 	if zeroCopy && n > 0 {
 		return unsafe.String(&b[0], n), b[n:], nil
-	}
-	return string(b[:n]), b[n:], nil
-}
-
-func readSealedString(b []byte) (string, []byte, error) {
-	if len(b) < 2 {
-		return "", nil, fmt.Errorf("truncated string length")
-	}
-	n := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	if len(b) < n {
-		return "", nil, fmt.Errorf("string declares %d bytes, %d remain", n, len(b))
 	}
 	return string(b[:n]), b[n:], nil
 }
@@ -851,10 +839,12 @@ func checkByteRange(what string, v int) error {
 	return nil
 }
 
-// writeFileAtomic writes buf to path via a synced temporary sibling and
-// rename, widening the mode to the conventional 0644 (shared by the
-// snapshot and sealed-table savers).
-func writeFileAtomic(path string, buf []byte) error {
+// WriteFileAtomic writes buf to path via a synced temporary sibling and
+// rename, widening the mode to the conventional 0644: a reader sees the
+// old file or the new one, never a torn write. The snapshot and
+// sealed-table savers, the sealed build's run files and its manifest
+// all write through it.
+func WriteFileAtomic(path string, buf []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/classify"
@@ -397,5 +398,48 @@ func TestSealedGetBatch(t *testing.T) {
 	}
 	if values[0] != nil || idxs[0] != -1 {
 		t.Fatalf("nil table left stale outputs: %v, %d", values[0], idxs[0])
+	}
+}
+
+// TestSealedCorruptErrorNamesSectionAndOffset pins the load-diagnostic
+// contract: a section that fails to decode is reported with its name
+// and the byte offset where it starts, not just its index.
+func TestSealedCorruptErrorNamesSectionAndOffset(t *testing.T) {
+	buf, err := EncodeSealed(testSealed())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Swap the two fingerprints of the second section ("paths/k=2") so
+	// the strictly-increasing check fires, and re-stamp the checksum so
+	// damage is reached by the section decoder rather than the
+	// whole-file checksum.
+	idx := strings.Index(string(buf), "paths/k=2")
+	if idx < 0 {
+		t.Fatal("fixture section name not found in encoding")
+	}
+	// Section layout after the name: domain (2+len), kind (2+len),
+	// count (4), then the fingerprint array.
+	off := idx + len("paths/k=2")
+	off += 2 + len("classify/paths-inputs")
+	off += 2 + len(KindPaths)
+	off += 4
+	for i := 0; i < 8; i++ {
+		buf[off+i], buf[off+8+i] = buf[off+8+i], buf[off+i]
+	}
+	buf = reseal(t, buf)
+
+	_, err = OpenSealed(buf)
+	if !errors.Is(err, ErrSealedCorrupt) {
+		t.Fatalf("err = %v, want ErrSealedCorrupt", err)
+	}
+	msg := err.Error()
+	if !strings.Contains(msg, `"paths/k=2"`) {
+		t.Errorf("error does not name the failing section: %s", msg)
+	}
+	if !strings.Contains(msg, "byte offset") {
+		t.Errorf("error does not report the section byte offset: %s", msg)
+	}
+	if !strings.Contains(msg, "not strictly increasing") {
+		t.Errorf("error lost the underlying cause: %s", msg)
 	}
 }

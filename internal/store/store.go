@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"path/filepath"
 
 	"repro/internal/classify"
 	"repro/internal/core"
@@ -348,30 +347,10 @@ func Save(path string, s *Snapshot) (int, error) {
 	buf = binary.BigEndian.AppendUint64(buf, checksum(payload))
 	buf = append(buf, payload...)
 
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return 0, fmt.Errorf("store: save snapshot: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		return 0, fmt.Errorf("store: save snapshot: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return 0, fmt.Errorf("store: save snapshot: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return 0, fmt.Errorf("store: save snapshot: %w", err)
-	}
-	// CreateTemp opens 0600 and rename keeps that mode; snapshots are
-	// shared operational state (backup jobs, restarts under a different
-	// service user), so widen to the conventional 0644.
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return 0, fmt.Errorf("store: save snapshot: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	// Snapshots are shared operational state (backup jobs, restarts
+	// under a different service user), so the atomic writer's 0644 mode
+	// suits them.
+	if err := WriteFileAtomic(path, buf); err != nil {
 		return 0, fmt.Errorf("store: save snapshot: %w", err)
 	}
 	return len(buf), nil
